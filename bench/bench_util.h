@@ -6,12 +6,26 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/strings.h"
+#include "obs/process_metrics.h"
 
 namespace ldl {
 namespace bench {
+
+/// "model name" of the first processor in /proc/cpuinfo, or "unknown".
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t value = line.find_first_not_of(" \t", line.find(':') + 1);
+    return value == std::string::npos ? "unknown" : line.substr(value);
+  }
+  return "unknown";
+}
 
 /// Process-wide collector mirroring every Banner section and printed Table
 /// into machine-readable JSON. Each bench binary calls FlushJson(name) at
@@ -35,7 +49,9 @@ class JsonSink {
   }
 
   /// Writes BENCH_<name>.json into $LDL_BENCH_JSON_DIR (default: the
-  /// current directory). Set LDL_BENCH_JSON=0 to disable.
+  /// current directory). Set LDL_BENCH_JSON=0 to disable. The "host"
+  /// object (core count, CPU model, build type) lets bench_diff flag a
+  /// wall-time comparison between different machines or builds.
   void Flush(const std::string& name) const {
     const char* toggle = std::getenv("LDL_BENCH_JSON");
     if (toggle != nullptr && std::string(toggle) == "0") return;
@@ -48,7 +64,10 @@ class JsonSink {
       std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
       return;
     }
-    out << "{\"bench\":\"" << JsonEscape(name) << "\",\"experiments\":[";
+    out << "{\"bench\":\"" << JsonEscape(name) << "\",\"host\":{\"nproc\":"
+        << std::thread::hardware_concurrency() << ",\"cpu\":\""
+        << JsonEscape(CpuModel()) << "\",\"build_type\":\""
+        << JsonEscape(CurrentBuildInfo().build_type) << "\"},\"experiments\":[";
     for (size_t s = 0; s < sections_.size(); ++s) {
       if (s) out << ",";
       const Section& section = sections_[s];

@@ -12,6 +12,16 @@ inline void HashCombine(size_t* seed, size_t value) {
   *seed ^= value + 0x9e3779b97f4a7c15ULL + (*seed << 6) + (*seed >> 2);
 }
 
+/// The splitmix64 finalizer: a bijection on 64-bit values whose every output
+/// bit depends on every input bit. HashCombine over small integers yields
+/// nearly consecutive values, so open-addressing tables mix a hash through
+/// this before masking it down to a slot index.
+inline uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Hashes any std::hash-able value into `seed`.
 template <typename T>
 void HashValue(size_t* seed, const T& value) {

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/hash.h"
+
 namespace ldl {
 
 /// Deterministic 64-bit PRNG (splitmix64). Used by the simulated-annealing
@@ -26,10 +28,7 @@ class Rng {
 
   /// Next raw 64-bit value.
   uint64_t Next() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return Mix64(state_ += 0x9e3779b97f4a7c15ULL);
   }
 
   /// Uniform integer in [0, bound). `bound` must be > 0.

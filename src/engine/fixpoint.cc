@@ -218,7 +218,8 @@ class ProgramEvaluator {
       }
       size_t added = 0;
       for (const PredicateId& pred : members) {
-        added += scratch_->GetOrCreate(pred)->InsertAll(temp.at(pred));
+        added += scratch_->GetOrCreate(pred)->MergeFrom(
+            std::move(temp.at(pred)), nullptr);
       }
       options_.trace.Count("engine.fixpoint.rounds");
       options_.trace.Observe("engine.fixpoint.delta_tuples",
@@ -271,11 +272,8 @@ class ProgramEvaluator {
       auto n = EvaluateRule(rule, resolve, &temp, &stats_->counters,
                             OptionsForRule(rule_index));
       LDL_RETURN_NOT_OK(n.status());
-      Relation* full = scratch_->GetOrCreate(rule.head().predicate());
-      Relation& d = delta.at(rule.head().predicate());
-      for (const Tuple& t : temp.tuples()) {
-        if (full->Insert(t)) d.Insert(t);
-      }
+      scratch_->GetOrCreate(rule.head().predicate())
+          ->MergeFrom(std::move(temp), &delta.at(rule.head().predicate()));
     }
 
     size_t round = 0;
@@ -323,11 +321,9 @@ class ProgramEvaluator {
           auto n = EvaluateRule(rule, diff_resolve, &temp, &stats_->counters,
                                 OptionsForRule(rule_index));
           LDL_RETURN_NOT_OK(n.status());
-          Relation* full = scratch_->GetOrCreate(rule.head().predicate());
-          Relation& nd = new_delta.at(rule.head().predicate());
-          for (const Tuple& t : temp.tuples()) {
-            if (full->Insert(t)) nd.Insert(t);
-          }
+          scratch_->GetOrCreate(rule.head().predicate())
+              ->MergeFrom(std::move(temp),
+                          &new_delta.at(rule.head().predicate()));
         }
       }
       delta = std::move(new_delta);

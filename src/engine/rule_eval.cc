@@ -1,6 +1,7 @@
 #include "engine/rule_eval.h"
 
 #include <sstream>
+#include <type_traits>
 
 #include "base/strings.h"
 #include "engine/builtins.h"
@@ -180,6 +181,7 @@ class RuleEvaluator {
     if (options_.pattern_resolver) {
       rel = options_.pattern_resolver(lit, order_[depth], patterns);
     }
+    const bool tabled = rel != nullptr;
     if (rel == nullptr) rel = resolve_(lit, order_[depth]);
     if (rel == nullptr) return Status::OK();
 
@@ -198,29 +200,34 @@ class RuleEvaluator {
       return st;
     };
 
-    if (options_.concurrent_reads) {
-      // Parallel-round mode: `rel` is frozen, so references are stable and
-      // index maintenance is forbidden (it would race with other readers).
-      // Use the const lookup path; when no index was pre-built, scan —
-      // try_tuple re-checks every column against the bound patterns anyway.
+    // A stable relation gains no tuples while this rule runs, so its
+    // posting lists and tuples can be read in place. Two kinds are not
+    // stable: the rule's own sink (direct recursion), and a tabled relation
+    // from the pattern resolver, which deeper probes may extend. Inserts
+    // made deeper in the recursion can invalidate references into those,
+    // so they copy posting lists and iterate by index below.
+    //
+    // In parallel-round mode every relation is frozen, but index
+    // maintenance is forbidden (it would race with other readers): the
+    // const lookup path is used, and a missing index means a scan —
+    // try_tuple re-checks every column against the bound patterns anyway.
+    if (options_.concurrent_reads || (!tabled && !IsSink(rel))) {
+      const std::vector<uint32_t>* ids = nullptr;
       if (!bound_cols.empty()) {
-        const std::vector<uint32_t>* ids = rel->FindPostings(bound_cols, key);
-        if (ids != nullptr) {
-          for (uint32_t id : *ids) {
-            LDL_RETURN_NOT_OK(try_tuple(rel->tuple(id)));
-          }
-          return Status::OK();
+        ids = options_.concurrent_reads ? rel->FindPostings(bound_cols, key)
+                                        : &rel->Lookup(bound_cols, key);
+      }
+      if (ids != nullptr) {
+        for (uint32_t id : *ids) {
+          LDL_RETURN_NOT_OK(try_tuple(rel->tuple(id)));
         }
+        return Status::OK();
       }
       for (const Tuple& t : rel->tuples()) {
         LDL_RETURN_NOT_OK(try_tuple(t));
       }
       return Status::OK();
     }
-
-    // Copy posting lists / iterate by index: `rel` may be the relation the
-    // rule is inserting into (direct recursion), so references into it can
-    // be invalidated by inserts made deeper in the recursion.
     if (!bound_cols.empty()) {
       std::vector<uint32_t> ids = rel->Lookup(bound_cols, key);
       for (uint32_t id : ids) {
@@ -234,6 +241,11 @@ class RuleEvaluator {
       LDL_RETURN_NOT_OK(try_tuple(t));
     }
     return Status::OK();
+  }
+
+  bool IsSink(const Relation* rel) const {
+    if constexpr (std::is_same_v<Sink, Relation>) return rel == out_;
+    return false;
   }
 
   const Rule& rule_;

@@ -1,7 +1,6 @@
 #include "storage/relation.h"
 
 #include <cassert>
-#include <set>
 #include <sstream>
 
 namespace ldl {
@@ -35,7 +34,7 @@ size_t ApproxTupleBytes(const Tuple& t) {
 
 namespace {
 
-// Per-tuple overhead of the dedup map entry (hash key + one posting id).
+// Per-tuple overhead of the dedup set: the cached hash plus one slot id.
 constexpr size_t kDedupEntryBytes = sizeof(size_t) + sizeof(uint32_t);
 
 }  // namespace
@@ -68,14 +67,16 @@ void Relation::set_accountant(ResourceAccountant* accountant) {
 }
 
 bool Relation::Insert(Tuple t) {
+  const size_t hash = TupleHash{}(t);
+  return InsertHashed(std::move(t), hash);
+}
+
+bool Relation::InsertHashed(Tuple t, size_t hash) {
   assert(t.size() == arity_ && "tuple arity mismatch");
   if (t.size() != arity_) return false;
-  size_t h = TupleHash{}(t);
-  auto& bucket = dedup_[h];
-  for (uint32_t id : bucket) {
-    if (tuples_[id] == t) return false;
+  if (!dedup_.Insert(hash, [&](uint32_t id) { return tuples_[id] == t; })) {
+    return false;
   }
-  bucket.push_back(static_cast<uint32_t>(tuples_.size()));
   if (accountant_ != nullptr) {
     ChargeDelta(ApproxTupleBytes(t) + kDedupEntryBytes, 0);
   }
@@ -85,24 +86,32 @@ bool Relation::Insert(Tuple t) {
 
 size_t Relation::InsertAll(const Relation& other) {
   size_t added = 0;
-  for (const Tuple& t : other.tuples()) {
-    if (Insert(t)) ++added;
+  for (size_t i = 0; i < other.size(); ++i) {
+    if (InsertHashed(other.tuple(i), other.tuple_hash(i))) ++added;
   }
   return added;
 }
 
-size_t Relation::InsertBatch(std::vector<Tuple> batch) {
+size_t Relation::MergeFrom(Relation&& src, Relation* delta) {
+  assert(&src != this && delta != this && "MergeFrom needs distinct relations");
   size_t added = 0;
-  for (Tuple& t : batch) {
-    if (Insert(std::move(t))) ++added;
+  for (size_t i = 0; i < src.size(); ++i) {
+    const size_t hash = src.tuple_hash(i);
+    const size_t id = tuples_.size();
+    if (!InsertHashed(std::move(src.tuples_[i]), hash)) continue;
+    if (delta != nullptr) delta->AppendUnchecked(tuples_[id], hash);
+    ++added;
   }
+  src.tuples_.clear();
+  src.dedup_.Clear();
+  src.indexes_.clear();
   return added;
 }
 
 void Relation::AppendUnchecked(Tuple t, size_t hash) {
   assert(t.size() == arity_ && "tuple arity mismatch");
   assert(!ContainsHashed(t, hash) && "AppendUnchecked requires a new tuple");
-  dedup_[hash].push_back(static_cast<uint32_t>(tuples_.size()));
+  dedup_.Append(hash);
   if (accountant_ != nullptr) {
     ChargeDelta(ApproxTupleBytes(t) + kDedupEntryBytes, 0);
   }
@@ -114,18 +123,14 @@ bool Relation::Contains(const Tuple& t) const {
 }
 
 bool Relation::ContainsHashed(const Tuple& t, size_t hash) const {
-  auto it = dedup_.find(hash);
-  if (it == dedup_.end()) return false;
-  for (uint32_t id : it->second) {
-    if (tuples_[id] == t) return true;
-  }
-  return false;
+  return dedup_.Find(hash, [&](uint32_t id) { return tuples_[id] == t; }) !=
+         RowIdSet::kAbsent;
 }
 
 void Relation::Clear() {
   ChargeDelta(0, charged_bytes_);
   tuples_.clear();
-  dedup_.clear();
+  dedup_.Clear();
   indexes_.clear();
 }
 
@@ -176,10 +181,29 @@ void Relation::ExtendIndex(const std::vector<int>& cols, Index* index) {
   ChargeDelta(added_bytes, 0);
 }
 
-size_t Relation::DistinctCount(size_t col) const {
-  std::set<Term> values;
-  for (const Tuple& t : tuples_) values.insert(t[col]);
-  return values.size();
+std::vector<size_t> Relation::DistinctCounts() const {
+  // One set over (column, value) pairs for the whole relation; values are
+  // referenced in place, never copied.
+  struct Value {
+    size_t col;
+    const Term* term;
+  };
+  std::vector<Value> values;
+  RowIdSet seen;
+  std::vector<size_t> counts(arity_, 0);
+  for (const Tuple& t : tuples_) {
+    for (size_t c = 0; c < arity_; ++c) {
+      size_t hash = c;
+      HashCombine(&hash, t[c].Hash());
+      const bool added = seen.Insert(hash, [&](uint32_t id) {
+        return values[id].col == c && *values[id].term == t[c];
+      });
+      if (!added) continue;
+      values.push_back({c, &t[c]});
+      ++counts[c];
+    }
+  }
+  return counts;
 }
 
 std::string Relation::ToString(size_t max_tuples) const {

@@ -9,6 +9,7 @@
 
 #include "base/status.h"
 #include "obs/resource.h"
+#include "storage/row_id_set.h"
 #include "storage/tuple.h"
 
 namespace ldl {
@@ -67,7 +68,7 @@ class Relation {
     // The charge moves with the data: the source no longer owes anything.
     other.charged_bytes_ = 0;
     other.tuples_.clear();
-    other.dedup_.clear();
+    other.dedup_.Clear();
     other.indexes_.clear();
   }
   Relation& operator=(Relation&& other) noexcept {
@@ -82,7 +83,7 @@ class Relation {
     charged_bytes_ = other.charged_bytes_;
     other.charged_bytes_ = 0;
     other.tuples_.clear();
-    other.dedup_.clear();
+    other.dedup_.Clear();
     other.indexes_.clear();
     return *this;
   }
@@ -103,24 +104,35 @@ class Relation {
 
   const std::vector<Tuple>& tuples() const { return tuples_; }
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
+  /// TupleHash of tuple(i), cached when the tuple was stored.
+  size_t tuple_hash(size_t i) const { return dedup_.hash(i); }
 
   /// Inserts `t`; returns true iff the tuple was new. CHECK-fails on arity
   /// mismatch in debug builds; silently rejects in release.
   bool Insert(Tuple t);
 
-  /// Inserts every tuple of `other` (arity must match); returns the number
-  /// of new tuples.
+  /// Insert with a precomputed TupleHash (`hash` must be TupleHash{}(t)
+  /// for Contains to find the tuple later).
+  bool InsertHashed(Tuple t, size_t hash);
+
+  /// Inserts every tuple of `other` (arity must match), reusing its cached
+  /// hashes; returns the number of new tuples.
   size_t InsertAll(const Relation& other);
 
-  /// Batch insert: one call per vector-of-tuples instead of one per tuple.
+  /// Moves every tuple of `src` that is new to this relation into it, in
+  /// src order and reusing src's cached hashes, and appends a copy of each
+  /// to `delta` when non-null. The delta append skips the dedup probe: a
+  /// delta that only ever receives this relation's new tuples cannot
+  /// already hold one. `src` is left empty but keeps its byte charge until
+  /// it is cleared or destroyed, exactly as if its tuples had been copied.
   /// Returns the number of new tuples.
-  size_t InsertBatch(std::vector<Tuple> batch);
+  size_t MergeFrom(Relation&& src, Relation* delta);
 
   /// Appends a tuple the caller guarantees is NOT already present, with its
-  /// precomputed TupleHash. The fast path of the parallel engine's
-  /// partition/merge operators: the dedup probe was already done (by a
-  /// sharded merge or because the source relation is duplicate-free), so
-  /// only the bucket append remains.
+  /// precomputed TupleHash. The fast path of the merges and partitions:
+  /// novelty was already proven (by a sharded merge, by a MergeFrom into
+  /// the full relation, or because the source relation is duplicate-free),
+  /// so only the slot append remains.
   void AppendUnchecked(Tuple t, size_t hash);
 
   bool Contains(const Tuple& t) const;
@@ -151,8 +163,9 @@ class Relation {
   const std::vector<uint32_t>* FindPostings(const std::vector<int>& cols,
                                             const Tuple& key) const;
 
-  /// Number of distinct values in column `col` (over current contents).
-  size_t DistinctCount(size_t col) const;
+  /// Number of distinct values in each column (over current contents),
+  /// counted in one pass over the tuples.
+  std::vector<size_t> DistinctCounts() const;
 
   std::string ToString(size_t max_tuples = 20) const;
 
@@ -182,8 +195,8 @@ class Relation {
   std::string name_;
   size_t arity_ = 0;
   std::vector<Tuple> tuples_;
-  // Dedup structure: hash -> tuple ids with that hash.
-  std::unordered_map<size_t, std::vector<uint32_t>> dedup_;
+  // Dedup structure over tuples_ ids; also caches every tuple's hash.
+  RowIdSet dedup_;
   // Secondary indexes keyed by the (sorted) column list.
   std::map<std::vector<int>, Index> indexes_;
   ResourceAccountant* accountant_ = nullptr;

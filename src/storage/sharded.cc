@@ -7,22 +7,18 @@ namespace ldl {
 bool TupleBatch::Insert(Tuple t) {
   assert(t.size() == arity_ && "tuple arity mismatch");
   if (t.size() != arity_) return false;
-  size_t h = TupleHash{}(t);
-  auto& bucket = dedup_[h];
-  for (uint32_t id : bucket) {
-    if (tuples_[id] == t) return false;
+  const size_t hash = TupleHash{}(t);
+  if (!dedup_.Insert(hash, [&](uint32_t id) { return tuples_[id] == t; })) {
+    return false;
   }
-  bucket.push_back(static_cast<uint32_t>(tuples_.size()));
   approx_bytes_ += ApproxTupleBytes(t) + sizeof(size_t) + sizeof(uint32_t);
   tuples_.push_back(std::move(t));
-  hashes_.push_back(h);
   return true;
 }
 
 void TupleBatch::Clear() {
   tuples_.clear();
-  hashes_.clear();
-  dedup_.clear();
+  dedup_.Clear();
   approx_bytes_ = 0;
 }
 
@@ -43,18 +39,11 @@ void ShardedMerger::CollectShard(size_t shard,
       const size_t h = hashes[i];
       if (h % p != shard) continue;
       if (base.ContainsHashed(tuples[i], h)) continue;
-      auto& bucket = s.dedup[h];
-      bool seen = false;
-      for (uint32_t id : bucket) {
-        if (s.tuples[id] == tuples[i]) {
-          seen = true;
-          break;
-        }
+      if (!s.dedup.Insert(
+              h, [&](uint32_t id) { return s.tuples[id] == tuples[i]; })) {
+        continue;
       }
-      if (seen) continue;
-      bucket.push_back(static_cast<uint32_t>(s.tuples.size()));
       s.tuples.push_back(tuples[i]);
-      s.hashes.push_back(h);
     }
   }
 }
@@ -63,13 +52,13 @@ size_t ShardedMerger::Commit(Relation* full, Relation* delta) {
   size_t added = 0;
   for (Shard& s : shards_) {
     for (size_t i = 0; i < s.tuples.size(); ++i) {
-      if (delta != nullptr) delta->AppendUnchecked(s.tuples[i], s.hashes[i]);
-      full->AppendUnchecked(std::move(s.tuples[i]), s.hashes[i]);
+      const size_t hash = s.dedup.hash(i);
+      if (delta != nullptr) delta->AppendUnchecked(s.tuples[i], hash);
+      full->AppendUnchecked(std::move(s.tuples[i]), hash);
       ++added;
     }
     s.tuples.clear();
-    s.hashes.clear();
-    s.dedup.clear();
+    s.dedup.Clear();
   }
   return added;
 }
@@ -88,10 +77,10 @@ std::vector<Relation> HashPartitionRelation(const Relation& rel,
   for (size_t i = 0; i < parts; ++i) {
     out.emplace_back(rel.name(), rel.arity());
   }
-  for (const Tuple& t : rel.tuples()) {
-    size_t h = TupleHash{}(t);
+  for (size_t i = 0; i < rel.size(); ++i) {
+    const size_t h = rel.tuple_hash(i);
     // Source relations are duplicate-free, so each partition append is new.
-    out[h % parts].AppendUnchecked(t, h);
+    out[h % parts].AppendUnchecked(rel.tuple(i), h);
   }
   return out;
 }

@@ -2,10 +2,10 @@
 #define LDLOPT_STORAGE_SHARDED_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/relation.h"
+#include "storage/row_id_set.h"
 #include "storage/tuple.h"
 
 namespace ldl {
@@ -26,7 +26,8 @@ class TupleBatch {
   bool empty() const { return tuples_.empty(); }
 
   const std::vector<Tuple>& tuples() const { return tuples_; }
-  const std::vector<size_t>& hashes() const { return hashes_; }
+  /// hashes()[i] == TupleHash{}(tuples()[i]).
+  const std::vector<size_t>& hashes() const { return dedup_.hashes(); }
 
   /// Inserts `t` if not already present; returns true iff new. Mirrors
   /// Relation::Insert so rule evaluation can emit into either sink.
@@ -40,9 +41,7 @@ class TupleBatch {
  private:
   size_t arity_ = 0;
   std::vector<Tuple> tuples_;
-  std::vector<size_t> hashes_;  // hashes_[i] == TupleHash{}(tuples_[i])
-  // Dedup structure: hash -> ids of tuples_ entries with that hash.
-  std::unordered_map<size_t, std::vector<uint32_t>> dedup_;
+  RowIdSet dedup_;  // over tuples_ ids; caches their hashes
   uint64_t approx_bytes_ = 0;
 };
 
@@ -84,8 +83,7 @@ class ShardedMerger {
  private:
   struct Shard {
     std::vector<Tuple> tuples;
-    std::vector<size_t> hashes;
-    std::unordered_map<size_t, std::vector<uint32_t>> dedup;
+    RowIdSet dedup;  // over tuples ids; caches their hashes
   };
 
   std::vector<Shard> shards_;

@@ -31,9 +31,8 @@ Statistics Statistics::Collect(const Database& db) {
     const Relation* rel = db.Find(pred);
     RelationStats rs;
     rs.cardinality = static_cast<double>(rel->size());
-    rs.distinct.resize(rel->arity());
-    for (size_t c = 0; c < rel->arity(); ++c) {
-      rs.distinct[c] = static_cast<double>(rel->DistinctCount(c));
+    for (size_t n : rel->DistinctCounts()) {
+      rs.distinct.push_back(static_cast<double>(n));
     }
     stats.Set(pred, std::move(rs));
   }

@@ -7,6 +7,7 @@
 #include "ast/parser.h"
 #include "base/strings.h"
 #include "engine/query_eval.h"
+#include "engine/rule_eval.h"
 #include "testing/workloads.h"
 
 namespace ldl {
@@ -380,6 +381,36 @@ TEST(QueryEvalTest, ReachableSubprogramPrunesUnrelatedRules) {
   EXPECT_TRUE(sub.IsDerived({"c", 1}));
   EXPECT_TRUE(sub.IsDerived({"a", 1}));
   EXPECT_FALSE(sub.IsDerived({"b", 1}));
+}
+
+// A rule whose sink is also a relation it reads (direct recursion through
+// EvaluateRule): two nested probes of p on the same key, with inserts into
+// p in between, must see snapshot copies of the posting list. Reading the
+// list in place would follow it through reallocation.
+TEST(RuleEvalTest, SinkReadByItsOwnRuleIsProbedFromCopies) {
+  Program program = P("p(X, Y) <- X = 1, p(X, Z), p(X, W), e(W, Y).");
+  ASSERT_EQ(program.rules().size(), 1u);
+  const Rule& rule = program.rules()[0];
+  Database db;
+  Relation* p = db.GetOrCreate({"p", 2});
+  Relation* e = db.GetOrCreate({"e", 2});
+  for (int64_t w = 1; w <= 4; ++w) {
+    p->Insert({Term::MakeInt(1), Term::MakeInt(w)});
+    e->Insert({Term::MakeInt(w), Term::MakeInt(w + 10)});
+  }
+  e->Insert({Term::MakeInt(11), Term::MakeInt(21)});
+  EvalCounters counters;
+  auto added = EvaluateRule(rule, DatabaseResolver(&db), p, &counters);
+  ASSERT_TRUE(added.ok()) << added.status();
+  // The outer probe iterates the 4 original tuples; each inner probe sees
+  // every tuple inserted so far, so 1-11 reaches 1-21 on the second pass.
+  EXPECT_EQ(*added, 5u);
+  std::vector<Tuple> expected;
+  for (int64_t y : {1, 2, 3, 4, 11, 12, 13, 14, 21}) {
+    expected.push_back({Term::MakeInt(1), Term::MakeInt(y)});
+  }
+  EXPECT_EQ(Sorted(*p), expected);
+  EXPECT_EQ(counters.inserts, 5u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "storage/database.h"
 #include "storage/statistics.h"
 #include "ast/parser.h"
@@ -69,11 +71,153 @@ TEST(RelationTest, ComplexTermColumns) {
   EXPECT_FALSE(r.Insert({*t2}));  // structurally equal -> dedup
 }
 
+Term T(const char* text) {
+  auto t = ParseTerm(text);
+  EXPECT_TRUE(t.ok()) << t.status();
+  return *t;
+}
+
 TEST(RelationTest, DistinctCount) {
   Relation r("edge", 2);
   for (int64_t i = 0; i < 30; ++i) r.Insert(Pair(i % 3, i));
-  EXPECT_EQ(r.DistinctCount(0), 3u);
-  EXPECT_EQ(r.DistinctCount(1), 30u);
+  EXPECT_EQ(r.DistinctCounts(), (std::vector<size_t>{3, 30}));
+
+  // Mixed kinds: 1 and 1.0 differ (int vs real), 0.0 and -0.0 are one
+  // value, a symbol and a string with the same text differ, and function
+  // terms compare structurally.
+  Relation m("mixed", 2);
+  const std::vector<Tuple> rows = {
+      {Term::MakeInt(1), T("a")},
+      {Term::MakeReal(1.0), T("a")},
+      {Term::MakeReal(0.0), Term::MakeString("a")},
+      {Term::MakeReal(-0.0), Term::MakeString("b")},
+      {T("a"), T("f(1)")},
+      {Term::MakeString("a"), T("f(1)")},
+      {T("f(1)"), T("f(1.0)")},
+      {T("f(1)"), T("g(1)")},
+      {T("f(1.0)"), Term::MakeInt(1)},
+      {T("g(1)"), Term::MakeInt(1)},
+  };
+  for (const Tuple& t : rows) ASSERT_TRUE(m.Insert(t)) << TupleToString(t);
+  EXPECT_EQ(m.DistinctCounts(), (std::vector<size_t>{8, 7}));
+  // Same counts as an ordered set of copied values per column.
+  for (size_t c = 0; c < 2; ++c) {
+    std::set<Term> values;
+    for (const Tuple& t : m.tuples()) values.insert(t[c]);
+    EXPECT_EQ(m.DistinctCounts()[c], values.size()) << "column " << c;
+  }
+  EXPECT_EQ(Relation("empty", 3).DistinctCounts(),
+            (std::vector<size_t>{0, 0, 0}));
+}
+
+// Distinct tuples forced onto one hash share a single probe run; the set
+// must keep comparing rows, not just hashes, through growth and wrap-around.
+TEST(RelationTest, ForcedHashCollisionsStayDistinct) {
+  constexpr size_t kHash = 42;
+  Relation r("edge", 2);
+  for (int64_t i = 0; i < 100; ++i) {
+    EXPECT_TRUE(r.InsertHashed(Pair(i, i), kHash));
+  }
+  for (int64_t i = 100; i < 150; ++i) r.AppendUnchecked(Pair(i, i), kHash);
+  for (int64_t i = 0; i < 150; ++i) {
+    EXPECT_FALSE(r.InsertHashed(Pair(i, i), kHash));
+    EXPECT_TRUE(r.ContainsHashed(Pair(i, i), kHash));
+    EXPECT_EQ(r.tuple(i), Pair(i, i));
+    EXPECT_EQ(r.tuple_hash(i), kHash);
+  }
+  EXPECT_EQ(r.size(), 150u);
+  EXPECT_FALSE(r.ContainsHashed(Pair(150, 150), kHash));
+  EXPECT_FALSE(r.ContainsHashed(Pair(0, 0), kHash + 1));
+}
+
+TEST(RelationTest, GrowthKeepsIdsOrderAndPostings) {
+  Relation r("edge", 2);
+  ASSERT_TRUE(r.Insert(Pair(3, 0)));
+  ASSERT_EQ(r.Lookup({0}, {Term::MakeInt(3)}).size(), 1u);
+  // 5000 tuples cross every power-of-two slot count from 16 to 16384.
+  constexpr int64_t kN = 5000;
+  for (int64_t i = 1; i < kN; ++i) ASSERT_TRUE(r.Insert(Pair(i % 7, i)));
+  ASSERT_EQ(r.size(), static_cast<size_t>(kN));
+  for (int64_t i = 0; i < kN; ++i) {
+    const Tuple& t = r.tuple(i);
+    EXPECT_EQ(t[1].int_value(), i);
+    EXPECT_EQ(r.tuple_hash(i), TupleHash{}(t));
+    EXPECT_FALSE(r.Insert(t));
+  }
+  // The index built before growth was extended in id order.
+  const std::vector<uint32_t> ids = r.Lookup({0}, {Term::MakeInt(3)});
+  std::vector<uint32_t> expected = {0};
+  for (int64_t i = 1; i < kN; ++i) {
+    if (i % 7 == 3) expected.push_back(static_cast<uint32_t>(i));
+  }
+  EXPECT_EQ(ids, expected);
+}
+
+TEST(RelationTest, AccountantChargesBalanceAcrossClearCopyMove) {
+  ResourceAccountant acct;
+  {
+    Relation r("edge", 2);
+    r.set_accountant(&acct);
+    for (int64_t i = 0; i < 100; ++i) r.Insert(Pair(i % 10, i));
+    r.Lookup({0}, {Term::MakeInt(1)});
+    const uint64_t one = r.charged_bytes();
+    ASSERT_GT(one, 0u);
+    EXPECT_EQ(acct.current_bytes(), one);
+
+    Relation copy(r);
+    EXPECT_EQ(acct.current_bytes(), 2 * one);
+    EXPECT_FALSE(copy.Insert(Pair(1, 1)));
+    EXPECT_TRUE(copy.Contains(Pair(9, 99)));
+
+    Relation moved(std::move(copy));
+    EXPECT_EQ(acct.current_bytes(), 2 * one);
+    EXPECT_EQ(copy.charged_bytes(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(moved.Insert(Pair(2, 2)));
+
+    Relation assigned("other", 2);
+    assigned.set_accountant(&acct);
+    assigned = r;
+    EXPECT_EQ(acct.current_bytes(), 3 * one);
+    assigned = std::move(moved);
+    EXPECT_EQ(acct.current_bytes(), 2 * one);
+    EXPECT_TRUE(assigned.Contains(Pair(5, 55)));
+
+    r.Clear();
+    EXPECT_EQ(acct.current_bytes(), one);
+    EXPECT_TRUE(r.empty());
+    EXPECT_FALSE(r.Contains(Pair(1, 1)));
+    EXPECT_TRUE(r.Insert(Pair(1, 1)));
+    EXPECT_GT(acct.current_bytes(), one);
+  }
+  EXPECT_EQ(acct.current_bytes(), 0u);
+}
+
+TEST(RelationTest, MergeFromMovesNewTuplesAndFillsDelta) {
+  ResourceAccountant acct;
+  {
+    Relation full("p", 2);
+    Relation delta("p", 2);
+    Relation src("p", 2);
+    for (Relation* rel : {&full, &delta, &src}) rel->set_accountant(&acct);
+    full.Insert(Pair(1, 1));
+    for (int64_t i = 0; i < 4; ++i) src.Insert(Pair(i, i));
+    const uint64_t src_bytes = src.charged_bytes();
+
+    EXPECT_EQ(full.MergeFrom(std::move(src), &delta), 3u);
+    EXPECT_EQ(full.tuples(), (std::vector<Tuple>{Pair(1, 1), Pair(0, 0),
+                                                 Pair(2, 2), Pair(3, 3)}));
+    EXPECT_EQ(delta.tuples(),
+              (std::vector<Tuple>{Pair(0, 0), Pair(2, 2), Pair(3, 3)}));
+    for (size_t i = 0; i < full.size(); ++i) {
+      EXPECT_EQ(full.tuple_hash(i), TupleHash{}(full.tuple(i)));
+    }
+    EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move)
+    // The drained source keeps its charge until it goes away.
+    EXPECT_EQ(src.charged_bytes(), src_bytes);
+    EXPECT_EQ(acct.current_bytes(), full.charged_bytes() +
+                                        delta.charged_bytes() + src_bytes);
+  }
+  EXPECT_EQ(acct.current_bytes(), 0u);
 }
 
 TEST(DatabaseTest, GetOrCreateAndFacts) {

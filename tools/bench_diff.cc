@@ -17,6 +17,11 @@
 // first (label) cell — a reshaped table is reported as skipped, not failed,
 // so adding a workload does not masquerade as a regression.
 //
+// Each file also carries a "host" object (nproc, cpu, build_type). When the
+// baseline's host differs from the run's, or the baseline has none, a
+// warning says so: wall times from different machines or builds are not
+// comparable at a tight threshold. The host never affects the exit status.
+//
 // Exit status: 0 no regressions, 1 regression found, 2 usage/parse error.
 
 #include <algorithm>
@@ -326,6 +331,34 @@ std::vector<FlatTable> ExtractTables(const JsonValue& root) {
   return tables;
 }
 
+/// "nproc=4 cpu=... build=Release" from a bench file's host record, or ""
+/// when it has none.
+std::string HostSummary(const JsonValue& root) {
+  const JsonValue* host = root.Find("host");
+  if (host == nullptr || host->kind != JsonValue::Kind::kObject) return "";
+  std::ostringstream os;
+  const JsonValue* nproc = host->Find("nproc");
+  const JsonValue* cpu = host->Find("cpu");
+  const JsonValue* build = host->Find("build_type");
+  os << "nproc=" << (nproc != nullptr ? nproc->number : 0)
+     << " cpu=\"" << (cpu != nullptr ? cpu->str : "") << "\" build="
+     << (build != nullptr ? build->str : "");
+  return os.str();
+}
+
+/// Warns (without gating) when the baseline was taken on another host.
+void WarnOnHostMismatch(const std::string& name, const JsonValue& baseline,
+                        const JsonValue& current) {
+  const std::string base_host = HostSummary(baseline);
+  const std::string cur_host = HostSummary(current);
+  if (base_host == cur_host) return;
+  std::cout << "warning: " << name << ": baseline host ["
+            << (base_host.empty() ? "not recorded" : base_host)
+            << "] differs from this run's ["
+            << (cur_host.empty() ? "not recorded" : cur_host)
+            << "]; wall times compare across machines\n";
+}
+
 /// Compares one bench file pair; returns the number of regressions and
 /// prints each. `checked` counts the time-cell comparisons actually made.
 size_t DiffFile(const std::string& name, const JsonValue& baseline,
@@ -483,6 +516,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return 2;
     }
+    WarnOnHostMismatch(name, baseline, current);
     regressions += DiffFile(name, baseline, current, options, &checked);
   }
 

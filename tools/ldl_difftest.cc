@@ -75,9 +75,12 @@ bool ParseSeeds(const std::string& arg, std::vector<uint64_t>* out) {
     out->push_back(s);
     return true;
   }
-  uint64_t lo = std::strtoull(arg.substr(0, dots).c_str(), &end, 10);
+  // Named copies: `end` points into them, so they must outlive the checks.
+  const std::string lo_text = arg.substr(0, dots);
+  const std::string hi_text = arg.substr(dots + 2);
+  uint64_t lo = std::strtoull(lo_text.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') return false;
-  uint64_t hi = std::strtoull(arg.substr(dots + 2).c_str(), &end, 10);
+  uint64_t hi = std::strtoull(hi_text.c_str(), &end, 10);
   if (end == nullptr || *end != '\0' || hi < lo || hi - lo > 10000) {
     return false;
   }
