@@ -1,7 +1,10 @@
 #include "base/strings.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace ldl {
 
@@ -65,6 +68,33 @@ std::string_view StripWhitespace(std::string_view text) {
     --end;
   }
   return text.substr(begin, end - begin);
+}
+
+bool ParseUint(const std::string& text, uint64_t max, uint64_t* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0' || value > max) return false;
+  *out = value;
+  return true;
+}
+
+bool ParseNonNegativeDouble(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (errno == ERANGE || *end != '\0' || !std::isfinite(value) ||
+      value < 0) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace ldl

@@ -1,6 +1,7 @@
 #ifndef LDLOPT_BASE_STRINGS_H_
 #define LDLOPT_BASE_STRINGS_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -93,6 +94,15 @@ std::string JsonEscape(std::string_view text);
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view text);
+
+/// Parses all of `text` as a base-10 unsigned integer no larger than `max`.
+/// Rejects empty text, signs, whitespace and trailing characters.
+bool ParseUint(const std::string& text, uint64_t max, uint64_t* out);
+
+/// Parses all of `text` as a finite, non-negative number (strtod syntax).
+/// Rejects empty text, leading whitespace, trailing characters, values out
+/// of double range, and inf/nan.
+bool ParseNonNegativeDouble(const std::string& text, double* out);
 
 }  // namespace ldl
 

@@ -8,7 +8,6 @@
 
 #include "ast/program.h"
 #include "base/status.h"
-#include "engine/parallel.h"
 #include "engine/rule_eval.h"
 #include "obs/context.h"
 #include "storage/database.h"
@@ -32,7 +31,9 @@ struct FixpointOptions {
   /// Hard cap on fixpoint rounds per clique; tripping it means the program
   /// is (or behaves) unsafe.
   size_t max_iterations = 1'000'000;
-  /// Cap on derivations inside a single rule firing round.
+  /// Cap on the cumulative derivations (head tuples produced, before dedup)
+  /// of one EvaluateProgram call, summed over every rule firing of every
+  /// clique; exceeding it aborts with kResourceExhausted.
   size_t max_derivations = 200'000'000;
   /// Body evaluation order per rule index (from the optimizer's chosen
   /// permutations); missing entries use textual order.
@@ -49,13 +50,6 @@ struct FixpointOptions {
   /// rewrite, and the rewritten rounds should be attributed to the method,
   /// not the machinery). Empty = use the raw fixpoint discipline.
   std::string method_label;
-  /// Parallel engine knobs. num_threads = 1 (default) runs the original
-  /// sequential code path unchanged; > 1 hash-partitions each round across
-  /// a worker pool with a deterministic sharded merge barrier. Answers are
-  /// identical at every thread count (rounds use frozen snapshots, so the
-  /// *round trajectory* of semi-naive may differ from sequential, which
-  /// sees same-round inserts early — both converge to the same fixpoint).
-  EngineOptions engine;
 };
 
 /// One fixpoint round of one clique — the convergence curve of the chosen

@@ -1,7 +1,6 @@
 #include "engine/rule_eval.h"
 
 #include <sstream>
-#include <type_traits>
 
 #include "base/strings.h"
 #include "engine/builtins.h"
@@ -32,14 +31,12 @@ void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
 namespace {
 
 /// Backtracking join over the rule body. Holds evaluation state so the
-/// recursive walk stays readable. Templated on the output sink: a Relation
-/// for sequential evaluation, a TupleBatch for parallel worker tasks (both
-/// expose `bool Insert(Tuple)` returning whether the tuple was new).
-template <typename Sink>
+/// recursive walk stays readable.
 class RuleEvaluator {
  public:
-  RuleEvaluator(const Rule& rule, const RelationResolver& resolve, Sink* out,
-                EvalCounters* counters, const RuleEvalOptions& options)
+  RuleEvaluator(const Rule& rule, const RelationResolver& resolve,
+                Relation* out, EvalCounters* counters,
+                const RuleEvalOptions& options)
       : rule_(rule),
         resolve_(resolve),
         out_(out),
@@ -206,19 +203,9 @@ class RuleEvaluator {
     // from the pattern resolver, which deeper probes may extend. Inserts
     // made deeper in the recursion can invalidate references into those,
     // so they copy posting lists and iterate by index below.
-    //
-    // In parallel-round mode every relation is frozen, but index
-    // maintenance is forbidden (it would race with other readers): the
-    // const lookup path is used, and a missing index means a scan —
-    // try_tuple re-checks every column against the bound patterns anyway.
-    if (options_.concurrent_reads || (!tabled && !IsSink(rel))) {
-      const std::vector<uint32_t>* ids = nullptr;
+    if (!tabled && rel != out_) {
       if (!bound_cols.empty()) {
-        ids = options_.concurrent_reads ? rel->FindPostings(bound_cols, key)
-                                        : &rel->Lookup(bound_cols, key);
-      }
-      if (ids != nullptr) {
-        for (uint32_t id : *ids) {
+        for (uint32_t id : rel->Lookup(bound_cols, key)) {
           LDL_RETURN_NOT_OK(try_tuple(rel->tuple(id)));
         }
         return Status::OK();
@@ -243,14 +230,9 @@ class RuleEvaluator {
     return Status::OK();
   }
 
-  bool IsSink(const Relation* rel) const {
-    if constexpr (std::is_same_v<Sink, Relation>) return rel == out_;
-    return false;
-  }
-
   const Rule& rule_;
   const RelationResolver& resolve_;
-  Sink* out_;
+  Relation* out_;
   EvalCounters* counters_;
   const RuleEvalOptions& options_;
   std::vector<size_t> order_;
@@ -264,14 +246,7 @@ class RuleEvaluator {
 Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
                             Relation* out, EvalCounters* counters,
                             const RuleEvalOptions& options) {
-  RuleEvaluator<Relation> evaluator(rule, resolve, out, counters, options);
-  return evaluator.Run();
-}
-
-Result<size_t> EvaluateRule(const Rule& rule, const RelationResolver& resolve,
-                            TupleBatch* out, EvalCounters* counters,
-                            const RuleEvalOptions& options) {
-  RuleEvaluator<TupleBatch> evaluator(rule, resolve, out, counters, options);
+  RuleEvaluator evaluator(rule, resolve, out, counters, options);
   return evaluator.Run();
 }
 

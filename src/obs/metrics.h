@@ -54,8 +54,10 @@ class Gauge {
 /// power-of-two buckets, enough to see the shape of per-round delta sizes
 /// or per-call optimization times without storing samples.
 ///
-/// Record() is lock-free: it sits on per-tuple paths, and under the future
-/// parallel engine a mutex here would serialize every worker. Each field is
+/// Record() is lock-free: it sits on per-round paths of every query, while
+/// the TimeSeriesSampler thread and stats-server scrapes read the same
+/// histogram, and queries on different threads may share one registry. A
+/// mutex here would make each of them wait on the others. Each field is
 /// an independent atomic updated with CAS loops, so concurrent readers see
 /// each field exactly but the fields only mutually consistent once writers
 /// quiesce — the right trade for monitoring data.

@@ -42,13 +42,15 @@ struct QueryLimits {
 /// serving layer needs (one tenant's budget, the process's budget, or the
 /// query's own budget can each be the binding constraint).
 ///
-/// All mutators are relaxed atomics: the parallel engine's workers charge
-/// this concurrently (each flushes locally accumulated work at
-/// check-points), so totals are exact under any schedule — no charge is
-/// lost or double-counted. peak_bytes is maintained with a CAS loop and is
-/// exact up to check-point granularity. Configuration (set_budget, the
-/// parent link) must be fixed before evaluation starts and not changed
-/// while workers are running; readers may sample meters at any time.
+/// All mutators are relaxed atomics: a session accountant is the parent of
+/// every query it admits, so queries running concurrently on different
+/// threads charge it at once (each flushes locally accumulated work at
+/// check-points), and the TimeSeriesSampler thread reads its meters while
+/// they run. Totals are exact under any schedule — no charge is lost or
+/// double-counted. peak_bytes is maintained with a CAS loop and is exact up
+/// to check-point granularity. Configuration (set_budget, the parent link)
+/// must be fixed before evaluation starts and not changed while queries are
+/// running; readers may sample meters at any time.
 class ResourceAccountant {
  public:
   explicit ResourceAccountant(ResourceAccountant* parent = nullptr)
@@ -153,10 +155,11 @@ class ResourceAccountant {
 /// Concurrency: Check() and RequestCancel() are safe from any number of
 /// threads (the cancel flag and check counter are atomics; the accountant
 /// chain is itself thread-safe). The deadline and accountant pointer are
-/// configuration — set them before evaluation fans out (LdlSystem does this
-/// during query setup) and leave them fixed while workers poll. Parallel
-/// fixpoint tasks each poll the same token every kCheckIntervalTuples, so
-/// a mid-round abort is observed by every worker within one interval.
+/// configuration — set them before evaluation starts (LdlSystem does this
+/// during query setup) and leave them fixed while queries poll. A session
+/// token is polled by every query chained to it, possibly on different
+/// threads, while another thread may call RequestCancel; each query
+/// observes the cancel within one kCheckIntervalTuples interval.
 class CancellationToken {
  public:
   /// Tuples examined between consecutive budget/deadline checks inside the

@@ -135,12 +135,6 @@ struct OptimizerOptions {
   /// and describe the SAME program and goal. Normally set by LdlSystem
   /// when analyze_reachability is on.
   const ProgramAnalysis* analysis = nullptr;
-
-  /// Execution-engine knobs, forwarded by LdlSystem into every fixpoint the
-  /// chosen plan runs (all recursion methods share the partitioned round
-  /// primitive). num_threads = 1 keeps the sequential engine; answers are
-  /// identical at any thread count. See engine/parallel.h.
-  EngineOptions engine;
 };
 
 /// Search-effort accounting, the currency of experiments E2/E3/E6.

@@ -136,7 +136,8 @@ void Relation::Clear() {
 
 namespace {
 // Shared "no match" posting list. Immutable after thread-safe static init,
-// so concurrent FindPostings callers may all point at it.
+// so relations of independent LdlSystems on different threads may all
+// return it (the reentrancy contract in engine/builtins.h).
 const std::vector<uint32_t>& EmptyPostings() {
   static const auto* empty = new std::vector<uint32_t>();
   return *empty;
@@ -149,21 +150,6 @@ const std::vector<uint32_t>& Relation::Lookup(const std::vector<int>& cols,
   if (index.built_upto < tuples_.size()) ExtendIndex(cols, &index);
   auto it = index.postings.find(key);
   return it == index.postings.end() ? EmptyPostings() : it->second;
-}
-
-void Relation::PrepareIndex(const std::vector<int>& cols) {
-  Index& index = indexes_[cols];
-  if (index.built_upto < tuples_.size()) ExtendIndex(cols, &index);
-}
-
-const std::vector<uint32_t>* Relation::FindPostings(
-    const std::vector<int>& cols, const Tuple& key) const {
-  auto it = indexes_.find(cols);
-  if (it == indexes_.end() || it->second.built_upto < tuples_.size()) {
-    return nullptr;  // no current index; caller must scan
-  }
-  auto pit = it->second.postings.find(key);
-  return pit == it->second.postings.end() ? &EmptyPostings() : &pit->second;
 }
 
 void Relation::ExtendIndex(const std::vector<int>& cols, Index* index) {

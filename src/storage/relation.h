@@ -129,15 +129,13 @@ class Relation {
   size_t MergeFrom(Relation&& src, Relation* delta);
 
   /// Appends a tuple the caller guarantees is NOT already present, with its
-  /// precomputed TupleHash. The fast path of the merges and partitions:
-  /// novelty was already proven (by a sharded merge, by a MergeFrom into
-  /// the full relation, or because the source relation is duplicate-free),
-  /// so only the slot append remains.
+  /// precomputed TupleHash. The fast path of the fixpoint merges: novelty
+  /// was already proven (by a MergeFrom into the full relation), so only
+  /// the slot append remains.
   void AppendUnchecked(Tuple t, size_t hash);
 
   bool Contains(const Tuple& t) const;
-  /// Contains with a precomputed TupleHash (batch callers hash once and
-  /// reuse it for partitioning, shard routing, and membership).
+  /// Contains with a precomputed TupleHash.
   bool ContainsHashed(const Tuple& t, size_t hash) const;
 
   void Clear();
@@ -147,21 +145,6 @@ class Relation {
   /// on demand.
   const std::vector<uint32_t>& Lookup(const std::vector<int>& cols,
                                       const Tuple& key);
-
-  /// Builds (or catches up) the index on `cols` so that subsequent
-  /// FindPostings calls for it succeed. The parallel engine calls this from
-  /// the coordinating thread before a round fans out, so workers never
-  /// mutate shared index state.
-  void PrepareIndex(const std::vector<int>& cols);
-
-  /// Const lookup for concurrent readers: returns the posting list when an
-  /// index on `cols` exists AND covers every stored tuple, a pointer to an
-  /// empty list when the index is current but has no match, and nullptr
-  /// when there is no current index (callers fall back to a scan). Never
-  /// builds or extends indexes, so any number of threads may call it
-  /// concurrently as long as no thread mutates the relation.
-  const std::vector<uint32_t>* FindPostings(const std::vector<int>& cols,
-                                            const Tuple& key) const;
 
   /// Number of distinct values in each column (over current contents),
   /// counted in one pass over the tuples.

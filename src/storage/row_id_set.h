@@ -28,8 +28,7 @@ class RowIdSet {
   static constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
 
   size_t size() const { return hashes_.size(); }
-  /// hashes()[id] is the hash row `id` was added with.
-  const std::vector<size_t>& hashes() const { return hashes_; }
+  /// The hash row `id` was added with.
   size_t hash(size_t id) const { return hashes_[id]; }
 
   /// Id of the stored row with `hash` for which `same(id)` holds, or

@@ -82,11 +82,8 @@ void RecordAnswers(Harness* h, DiffOutcome* out, const std::string& config,
 }
 
 Result<QueryResult> EvalDirect(const Program& program, Database* db,
-                               const Literal& goal, RecursionMethod method,
-                               size_t num_threads = 1) {
-  QueryEvalOptions options;
-  options.fixpoint.engine.num_threads = num_threads;
-  return EvaluateQuery(program, db, goal, method, options);
+                               const Literal& goal, RecursionMethod method) {
+  return EvaluateQuery(program, db, goal, method);
 }
 
 /// LdlSystem::Query under the given options, shaped like a QueryResult.
@@ -378,48 +375,6 @@ DiffOutcome RunDifferential(const GeneratedProgram& prog,
         RecordAnswers(&h, &out, "opt:feedback",
                       EvalOptimized(&sys, prog.query, fed));
         sys.set_feedback(nullptr, nullptr);
-      }
-    }
-  }
-
-  // --- parallel engine (par:N axis) ----------------------------------------
-  // The concurrency-aware half of the oracle: the same method and strategy
-  // matrix re-run with the hash-partitioned engine at each requested thread
-  // count, pinned to the sequential reference fingerprint. Answer sets must
-  // be bit-identical regardless of schedule; CI additionally runs this axis
-  // under TSan so data races fail even when answers happen to agree.
-  if (!options.thread_counts.empty()) {
-    LdlSystem par_sys;
-    Status par_load = par_sys.LoadProgram(prog.ToLdl());
-    for (size_t threads : options.thread_counts) {
-      RecordAnswers(&h, &out, StrCat("par:", threads, ":eval:seminaive"),
-                    EvalDirect(h.program, &h.db, prog.query,
-                               RecursionMethod::kSemiNaive, threads));
-      if (options.run_naive) {
-        RecordAnswers(&h, &out, StrCat("par:", threads, ":eval:naive"),
-                      EvalDirect(h.program, &h.db, prog.query,
-                                 RecursionMethod::kNaive, threads));
-      }
-      if (options.run_magic) {
-        RecordAnswers(&h, &out, StrCat("par:", threads, ":eval:magic"),
-                      EvalDirect(h.program, &h.db, prog.query,
-                                 RecursionMethod::kMagic, threads));
-      }
-      if (options.run_counting) {
-        RecordAnswers(&h, &out, StrCat("par:", threads, ":eval:counting"),
-                      EvalDirect(h.program, &h.db, prog.query,
-                                 RecursionMethod::kCounting, threads));
-      }
-      if (par_load.ok()) {
-        for (SearchStrategy strategy : options.strategies) {
-          OptimizerOptions o;
-          o.strategy = strategy;
-          o.engine.num_threads = threads;
-          RecordAnswers(&h, &out,
-                        StrCat("par:", threads, ":opt:",
-                               SearchStrategyToString(strategy)),
-                        EvalOptimized(&par_sys, prog.query, o));
-        }
       }
     }
   }

@@ -87,6 +87,33 @@ TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("x"), "x");
 }
 
+TEST(StringsTest, ParseUintAcceptsOnlyWholeInRangeNumbers) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseUint("0", 10, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUint("18446744073709551615", UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 7;
+  for (const char* bad : {"", "abc", "12x", " 1", "-1", "+1", "11",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseUint(bad, 10, &v)) << bad;
+  }
+  EXPECT_EQ(v, 7u) << "a rejected value must not be written";
+}
+
+TEST(StringsTest, ParseNonNegativeDoubleRejectsMalformedValues) {
+  double v = 0;
+  EXPECT_TRUE(ParseNonNegativeDouble("2.5", &v));
+  EXPECT_EQ(v, 2.5);
+  EXPECT_TRUE(ParseNonNegativeDouble("1e3", &v));
+  EXPECT_EQ(v, 1000.0);
+  for (const char* bad : {"", "abc", "1.5ms", " 1", "-1", "inf", "nan",
+                          "1e999"}) {
+    EXPECT_FALSE(ParseNonNegativeDouble(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, 1000.0);
+}
+
 TEST(RngTest, DeterministicBySeed) {
   Rng a(42), b(42), c(43);
   EXPECT_EQ(a.Next(), b.Next());

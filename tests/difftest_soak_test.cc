@@ -14,7 +14,6 @@ namespace {
 
 TEST(DiffTestSoakTest, FullMatrixOverManySeeds) {
   DiffTestOptions options;
-  options.thread_counts = {1, 2, 4};  // par:N axis rides the soak
   size_t iterations = 0;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);

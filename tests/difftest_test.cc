@@ -119,37 +119,6 @@ TEST(DiffTestTest, CleanProgramsProduceNoMismatch) {
   }
 }
 
-// Tier-1 parallel smoke: the par:N axis emits one config per thread count
-// per enabled method/strategy, every one agreeing with the sequential
-// reference. (The broad sweep lives in the slow soak and in CI's parallel
-// leg; this pins the wiring.)
-TEST(DiffTestTest, ParallelConfigsAgreeWithReference) {
-  Rng rng(404);
-  DiffTestOptions options;
-  options.run_tree_interpreter = false;
-  options.run_metamorphic = false;
-  options.run_analysis_pruned = false;
-  options.run_feedback = false;
-  options.thread_counts = {1, 2, 4};
-  for (int i = 0; i < 5; ++i) {
-    GeneratedProgram prog = GenerateProgram(&rng, options.gen);
-    DiffOutcome outcome = RunDifferential(prog, options);
-    ASSERT_FALSE(outcome.reference_failed) << outcome.detail;
-    EXPECT_FALSE(outcome.failed())
-        << prog.summary << "\n" << outcome.detail << prog.ToLdl();
-    size_t par_configs = 0;
-    for (const auto& cr : outcome.configs) {
-      if (cr.config.rfind("par:", 0) == 0) {
-        ++par_configs;
-        EXPECT_TRUE(cr.ok) << cr.config << ": " << cr.detail;
-        EXPECT_TRUE(cr.agrees) << cr.config;
-      }
-    }
-    // 3 thread counts x (4 methods + 5 strategies).
-    EXPECT_EQ(par_configs, 27u) << prog.summary;
-  }
-}
-
 TEST(DiffTestTest, FlippedJoinIsDetected) {
   // Hand-built asymmetric chain: flipping e(X, Z) in the recursive rule
   // changes the transitive closure.

@@ -148,6 +148,28 @@ TEST(FixpointTest, IterationGuardTripsOnUnsafeArithmetic) {
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
 }
 
+TEST(FixpointTest, DerivationCapAbortsEvaluation) {
+  // max_derivations caps the cumulative derivations of one EvaluateProgram
+  // call, summed over every rule firing and round.
+  Program p = P(kSgRules);
+  Database db;
+  testing::MakeSameGenerationData(3, 4, &db);
+  Database scratch;
+  FixpointStats uncapped;
+  ASSERT_TRUE(EvaluateProgram(p, RecursionMethod::kSemiNaive, &db, &scratch,
+                              &uncapped, {})
+                  .ok());
+  ASSERT_GT(uncapped.counters.derivations, 25u);
+
+  Database capped_scratch;
+  FixpointOptions options;
+  options.max_derivations = 25;
+  FixpointStats stats;
+  Status st = EvaluateProgram(p, RecursionMethod::kSemiNaive, &db,
+                              &capped_scratch, &stats, options);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+}
+
 TEST(FixpointTest, ComplexTermsFlowThroughRecursion) {
   // Build lists by recursion over a bounded set: path accumulation.
   Program p = P(R"(

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include "ldl/ldl.h"
 #include "testing/workloads.h"
@@ -222,6 +223,51 @@ TEST(ScenarioTest, StringAndRealValues) {
   ASSERT_TRUE(answer.ok()) << answer.status();
   ASSERT_EQ(answer->answers.size(), 1u);
   EXPECT_EQ(answer->answers.tuples()[0][0].text(), "anvil");
+}
+
+// Two fully independent LdlSystem instances queried from two OS threads —
+// the TSan pin for the reentrancy contract in engine/builtins.h: no mutable
+// static state anywhere on the parse/optimize/evaluate path. Each thread's
+// answers must equal a quiet run of the same workload afterwards.
+TEST(ScenarioTest, ConcurrentIndependentSystems) {
+  auto run = [](size_t fanout, int repeats, std::set<std::string>* rows,
+                bool* ok) {
+    LdlSystem sys;
+    *ok = sys.LoadProgram(R"(
+      sg(X, Y) <- flat(X, Y).
+      sg(X, Y) <- up(X, X1), sg(X1, Y1), dn(Y1, Y).
+    )")
+              .ok();
+    if (!*ok) return;
+    testing::MakeSameGenerationData(fanout, 3, sys.database());
+    sys.RefreshStatistics();
+    for (int i = 0; i < repeats; ++i) {
+      auto answer = sys.Query("sg(X, Y)");
+      if (!answer.ok() || answer->answers.empty()) {
+        *ok = false;
+        return;
+      }
+      *rows = AnswerSet(answer->answers);
+    }
+  };
+  std::set<std::string> rows_a, rows_b;
+  bool ok_a = false;
+  bool ok_b = false;
+  std::thread ta(run, 2, 8, &rows_a, &ok_a);
+  std::thread tb(run, 3, 8, &rows_b, &ok_b);
+  ta.join();
+  tb.join();
+  ASSERT_TRUE(ok_a);
+  ASSERT_TRUE(ok_b);
+
+  for (auto [fanout, rows] : {std::pair{size_t{2}, &rows_a},
+                              std::pair{size_t{3}, &rows_b}}) {
+    std::set<std::string> quiet;
+    bool ok = false;
+    run(fanout, 1, &quiet, &ok);
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(*rows, quiet) << "fanout " << fanout;
+  }
 }
 
 }  // namespace

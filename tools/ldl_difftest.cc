@@ -18,11 +18,6 @@
 //   --no-feedback        skip the opt:feedback configuration (planning
 //                        under the blended measured-statistics overlay a
 //                        warm pass accumulated; see obs/feedback.h)
-//   --threads LIST       comma-separated thread counts (e.g. 1,2,4): re-run
-//                        every enabled method and strategy configuration
-//                        with the hash-partitioned parallel engine at each
-//                        count ("par:N:..." configs) against the sequential
-//                        reference fingerprint (default: off)
 //   --repro-dir DIR      where repro-*.ldl files are written (default ".")
 //   --max-shrink-evals N shrinker budget per failure (default 2000)
 //   --skip N             generate and discard the first N programs per seed
@@ -60,7 +55,7 @@ int Usage() {
       "                    [--methods naive,magic,counting] [--no-tree]\n"
       "                    [--no-metamorphic] [--no-analysis] "
       "[--no-feedback]\n"
-      "                    [--threads 1,2,4] [--repro-dir DIR]\n"
+      "                    [--repro-dir DIR]\n"
       "                    [--max-shrink-evals N] [--inject-fault] "
       "[--verbose]\n");
   return 2;
@@ -166,30 +161,6 @@ int main(int argc, char** argv) {
           return Usage();
         }
         pos = comma + 1;
-      }
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.thread_counts.clear();
-      std::string list = argv[++i];
-      size_t pos = 0;
-      bool ok = !list.empty();
-      while (ok && pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        std::string n = list.substr(pos, comma - pos);
-        char* end = nullptr;
-        size_t threads =
-            static_cast<size_t>(std::strtoull(n.c_str(), &end, 10));
-        if (n.empty() || end == nullptr || *end != '\0' || threads == 0 ||
-            threads > 64) {
-          ok = false;
-          break;
-        }
-        options.thread_counts.push_back(threads);
-        pos = comma + 1;
-      }
-      if (!ok) {
-        std::fprintf(stderr, "ldl_difftest: bad --threads %s\n", list.c_str());
-        return Usage();
       }
     } else if (arg == "--no-tree") {
       options.run_tree_interpreter = false;

@@ -37,10 +37,6 @@
 //                        query over budget aborts with ResourceExhausted.
 //   --budget-tuples N    per-query cap on tuples examined.
 //   --deadline-ms X      per-query wall-clock deadline (DeadlineExceeded).
-//   --threads N          evaluate fixpoints with the hash-partitioned
-//                        parallel engine at N worker threads (default 1 =
-//                        the sequential code path; answers are identical
-//                        at every N, see DESIGN.md section 16).
 //   --query-log FILE     execute each query through the instrumented
 //                        lifecycle path and append one structured JSONL
 //                        record per query (replayable with ldl_replay).
@@ -68,10 +64,13 @@
 //                        busy long enough to scrape.
 //
 // Exit status: 0 success, 1 any query failed (parse, optimize, unsafe plan,
-// or execution error — details on stderr), 2 usage error.
+// or execution error — details on stderr), 2 usage error (including a
+// malformed or out-of-range numeric flag value).
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -97,7 +96,6 @@ struct CliOptions {
   uint64_t budget_bytes = 0;
   uint64_t budget_tuples = 0;
   double deadline_ms = 0;
-  size_t threads = 1;
   int stats_port = -1;  ///< -1 = no server; 0 = ephemeral
   int sample_ms = 200;
   int repeat = 1;
@@ -122,11 +120,26 @@ int Usage() {
                "[--calibration-json FILE] [--search-json FILE] "
                "[--fixpoint-json FILE] [--dot FILE] [--prune] "
                "[--budget-bytes N] [--budget-tuples N] [--deadline-ms X] "
-               "[--threads N] "
                "[--query-log FILE] [--stats-port N] [--sample-ms X] "
                "[--repeat K] [--feedback] [--stats-export FILE] "
                "[--stats-import FILE] file.ldl | -\n";
   return 2;
+}
+
+int BadValue(const std::string& flag, const char* text) {
+  std::cerr << "ldl_profile: bad " << flag << " value '" << text << "'\n";
+  return Usage();
+}
+
+/// ldl::ParseUint into an integer field narrower than 64 bits.
+template <typename Int>
+bool ParseInt(const char* text, Int* out) {
+  uint64_t value = 0;
+  if (!ldl::ParseUint(text, std::numeric_limits<Int>::max(), &value)) {
+    return false;
+  }
+  *out = static_cast<Int>(value);
+  return true;
 }
 
 bool ReadInput(const std::string& name, std::string* out) {
@@ -173,25 +186,27 @@ int main(int argc, char** argv) {
     } else if (arg == "--prune") {
       cli.prune = true;
     } else if (arg == "--budget-bytes" && i + 1 < argc) {
-      cli.budget_bytes = std::stoull(argv[++i]);
+      if (!ldl::ParseUint(argv[++i], UINT64_MAX, &cli.budget_bytes)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--budget-tuples" && i + 1 < argc) {
-      cli.budget_tuples = std::stoull(argv[++i]);
+      if (!ldl::ParseUint(argv[++i], UINT64_MAX, &cli.budget_tuples)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      cli.deadline_ms = std::stod(argv[++i]);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      cli.threads = std::stoull(argv[++i]);
-      if (cli.threads == 0 || cli.threads > 64) {
-        std::cerr << "ldl_profile: --threads must be in 1..64\n";
-        return 2;
+      if (!ldl::ParseNonNegativeDouble(argv[++i], &cli.deadline_ms)) {
+        return BadValue(arg, argv[i]);
       }
     } else if (arg == "--query-log" && i + 1 < argc) {
       cli.query_log = argv[++i];
     } else if (arg == "--stats-port" && i + 1 < argc) {
-      cli.stats_port = std::stoi(argv[++i]);
+      uint16_t port = 0;
+      if (!ParseInt(argv[++i], &port)) return BadValue(arg, argv[i]);
+      cli.stats_port = port;
     } else if (arg == "--sample-ms" && i + 1 < argc) {
-      cli.sample_ms = std::stoi(argv[++i]);
+      if (!ParseInt(argv[++i], &cli.sample_ms)) return BadValue(arg, argv[i]);
     } else if (arg == "--repeat" && i + 1 < argc) {
-      cli.repeat = std::stoi(argv[++i]);
+      if (!ParseInt(argv[++i], &cli.repeat)) return BadValue(arg, argv[i]);
     } else if (arg == "--feedback") {
       cli.feedback = true;
     } else if (arg == "--stats-export" && i + 1 < argc) {
@@ -244,7 +259,6 @@ int main(int argc, char** argv) {
     options.analyze_reachability = true;
     options.eliminate_dead_rules = true;
   }
-  options.engine.num_threads = cli.threads;
   options.limits.budget_bytes = cli.budget_bytes;
   options.limits.budget_tuples = cli.budget_tuples;
   options.limits.deadline_ms = cli.deadline_ms;

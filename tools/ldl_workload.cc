@@ -23,12 +23,14 @@
 //   --top N          records in the top-by-tuples section (default 5).
 //
 // Exit status: 0 clean, 1 unreadable log or gated finding under --check,
-// 2 usage error.
+// 2 usage error (including a malformed numeric flag value).
 
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "base/strings.h"
 #include "obs/query_log.h"
 #include "obs/workload.h"
 
@@ -38,6 +40,11 @@ int Usage() {
   std::cerr << "usage: ldl_workload [--check] [--threshold PCT] "
                "[--min-ms X] [--top N] log.jsonl [log2.jsonl]\n";
   return 2;
+}
+
+int BadValue(const std::string& flag, const char* text) {
+  std::cerr << "ldl_workload: bad " << flag << " value '" << text << "'\n";
+  return Usage();
 }
 
 }  // namespace
@@ -52,11 +59,19 @@ int main(int argc, char** argv) {
     if (arg == "--check") {
       check = true;
     } else if (arg == "--threshold" && i + 1 < argc) {
-      thresholds.latency_pct = std::stod(argv[++i]);
+      if (!ldl::ParseNonNegativeDouble(argv[++i], &thresholds.latency_pct)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--min-ms" && i + 1 < argc) {
-      thresholds.min_ms = std::stod(argv[++i]);
+      if (!ldl::ParseNonNegativeDouble(argv[++i], &thresholds.min_ms)) {
+        return BadValue(arg, argv[i]);
+      }
     } else if (arg == "--top" && i + 1 < argc) {
-      top_n = std::stoul(argv[++i]);
+      uint64_t top = 0;
+      if (!ldl::ParseUint(argv[++i], SIZE_MAX, &top)) {
+        return BadValue(arg, argv[i]);
+      }
+      top_n = static_cast<size_t>(top);
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
