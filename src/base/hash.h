@@ -14,8 +14,9 @@ inline void HashCombine(size_t* seed, size_t value) {
 
 /// The splitmix64 finalizer: a bijection on 64-bit values whose every output
 /// bit depends on every input bit. HashCombine over small integers yields
-/// nearly consecutive values, so open-addressing tables mix a hash through
-/// this before masking it down to a slot index.
+/// nearly consecutive values, so TupleHash mixes each column's hash through
+/// this before combining, and open-addressing tables can then mask the
+/// result down to a slot index directly.
 inline uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

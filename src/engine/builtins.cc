@@ -126,11 +126,21 @@ BuiltinOutcome EvalBuiltin(const Literal& lit, Substitution* subst) {
 
   // Ordering comparisons need both sides ground.
   if (!lhs_ground || !rhs_ground) return BuiltinOutcome::kNotComputable;
-  auto l = EvalArithmetic(lhs);
-  auto r = EvalArithmetic(rhs);
-  if (!l.ok() || !r.ok()) return BuiltinOutcome::kFailed;
-  int cmp = CompareGround(*l, *r);
-  switch (lit.builtin()) {
+  return EvalComparison(lit.builtin(), lhs, rhs);
+}
+
+BuiltinOutcome EvalComparison(BuiltinKind kind, const Term& lhs,
+                              const Term& rhs) {
+  int cmp = 0;
+  if (lhs.IsFunction() || rhs.IsFunction()) {
+    auto l = EvalArithmetic(lhs);
+    auto r = EvalArithmetic(rhs);
+    if (!l.ok() || !r.ok()) return BuiltinOutcome::kFailed;
+    cmp = CompareGround(*l, *r);
+  } else {
+    cmp = CompareGround(lhs, rhs);  // nothing to fold
+  }
+  switch (kind) {
     case BuiltinKind::kNe:
       return FromBool(cmp != 0);
     case BuiltinKind::kLt:

@@ -9,14 +9,16 @@
 namespace ldl {
 
 // Reentrancy contract: every function in this header is a pure function of
-// its arguments plus the passed-in Substitution — no mutable static or
-// global state (audited; the only function-local statics in the evaluation
-// stack are immutable empty-collection singletons with thread-safe
-// initialization, in term.cc and relation.cc). Concurrently evaluating
-// LdlSystem instances may therefore call these from any number of threads,
-// as long as each Substitution is thread-private (they always are: one per
-// RuleEvaluator). Pinned under TSan by ScenarioTest.ConcurrentIndependent-
-// Systems in tests/scenario_test.cc.
+// its arguments (plus the passed-in Substitution, for EvalBuiltin) — no
+// mutable static or global state (audited; the only function-local statics
+// in the evaluation stack are immutable empty-collection singletons with
+// thread-safe initialization, in term.cc and relation.cc). Concurrently
+// evaluating LdlSystem instances may therefore call these from any number
+// of threads, as long as each Substitution is thread-private. The rule
+// evaluator holds no Substitution: its bindings live in per-call slot
+// arrays (engine/rule_eval.cc), private to the calling thread. Pinned under
+// TSan by ScenarioTest.ConcurrentIndependentSystems in
+// tests/scenario_test.cc.
 
 /// Outcome of attempting one builtin literal under a substitution.
 enum class BuiltinOutcome {
@@ -42,6 +44,12 @@ bool ContainsArithmetic(const Term& t);
 ///    unifies it with the other side, possibly binding variables.
 /// On kFailed/kNotComputable the substitution is unchanged.
 BuiltinOutcome EvalBuiltin(const Literal& lit, Substitution* subst);
+
+/// The ordering comparisons (< <= > >= !=) on two ground sides: folds
+/// their arithmetic, then compares numerically when both sides are
+/// numeric, by term order otherwise. kFailed on an arithmetic error.
+BuiltinOutcome EvalComparison(BuiltinKind kind, const Term& lhs,
+                              const Term& rhs);
 
 /// Static EC test used by the safety analysis and by the adornment walk:
 /// given which argument sides are fully bound, would EvalBuiltin be

@@ -93,14 +93,28 @@ class ProgramEvaluator {
     return [this](const Literal& lit, size_t) { return Resolve(lit); };
   }
 
-  RuleEvalOptions OptionsForRule(size_t rule_index) const {
+  /// Fires rule `rule_index` once into `out`. The rule is compiled for its
+  /// chosen body order on first use; every later firing in this
+  /// EvaluateProgram call, each round and each delta occurrence, reuses it.
+  Status Fire(size_t rule_index, const RelationResolver& resolve,
+              Relation* out) {
+    auto it = compiled_.find(rule_index);
+    if (it == compiled_.end()) {
+      auto order = options_.rule_orders.find(rule_index);
+      LDL_ASSIGN_OR_RETURN(
+          CompiledRule rule,
+          CompiledRule::Compile(program_.rules()[rule_index],
+                                order == options_.rule_orders.end()
+                                    ? std::vector<size_t>{}
+                                    : order->second));
+      it = compiled_.emplace(rule_index, std::move(rule)).first;
+    }
     RuleEvalOptions opts;
     opts.max_derivations = options_.max_derivations;
     opts.cancel = options_.trace.cancel;
     opts.accountant = options_.trace.accountant;
-    auto it = options_.rule_orders.find(rule_index);
-    if (it != options_.rule_orders.end()) opts.order = it->second;
-    return opts;
+    return EvaluateRule(it->second, resolve, out, &stats_->counters, opts)
+        .status();
   }
 
   /// Transient per-round relations (deltas, rule temporaries) count against
@@ -154,9 +168,7 @@ class ProgramEvaluator {
     Relation* out = scratch_->GetOrCreate(pred);
     RelationResolver resolve = MakeResolver();
     for (size_t rule_index : program_.RulesFor(pred)) {
-      auto n = EvaluateRule(program_.rules()[rule_index], resolve, out,
-                            &stats_->counters, OptionsForRule(rule_index));
-      LDL_RETURN_NOT_OK(n.status());
+      LDL_RETURN_NOT_OK(Fire(rule_index, resolve, out));
     }
     return Status::OK();
   }
@@ -199,9 +211,8 @@ class ProgramEvaluator {
       }
       for (size_t rule_index : all_rules) {
         const Rule& rule = program_.rules()[rule_index];
-        auto n = EvaluateRule(rule, resolve, &temp.at(rule.head().predicate()),
-                              &stats_->counters, OptionsForRule(rule_index));
-        LDL_RETURN_NOT_OK(n.status());
+        LDL_RETURN_NOT_OK(
+            Fire(rule_index, resolve, &temp.at(rule.head().predicate())));
       }
       size_t added = 0;
       for (const PredicateId& pred : members) {
@@ -256,9 +267,7 @@ class ProgramEvaluator {
       const Rule& rule = program_.rules()[rule_index];
       Relation temp(rule.head().predicate().name, rule.head().arity());
       Attach(&temp);
-      auto n = EvaluateRule(rule, resolve, &temp, &stats_->counters,
-                            OptionsForRule(rule_index));
-      LDL_RETURN_NOT_OK(n.status());
+      LDL_RETURN_NOT_OK(Fire(rule_index, resolve, &temp));
       scratch_->GetOrCreate(rule.head().predicate())
           ->MergeFrom(std::move(temp), &delta.at(rule.head().predicate()));
     }
@@ -305,9 +314,7 @@ class ProgramEvaluator {
           };
           Relation temp(rule.head().predicate().name, rule.head().arity());
           Attach(&temp);
-          auto n = EvaluateRule(rule, diff_resolve, &temp, &stats_->counters,
-                                OptionsForRule(rule_index));
-          LDL_RETURN_NOT_OK(n.status());
+          LDL_RETURN_NOT_OK(Fire(rule_index, diff_resolve, &temp));
           scratch_->GetOrCreate(rule.head().predicate())
               ->MergeFrom(std::move(temp),
                           &new_delta.at(rule.head().predicate()));
@@ -339,6 +346,7 @@ class ProgramEvaluator {
   Database* scratch_;
   FixpointStats* stats_;
   const FixpointOptions& options_;
+  std::unordered_map<size_t, CompiledRule> compiled_;
 };
 
 }  // namespace

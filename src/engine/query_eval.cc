@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <set>
 
+#include "base/hash.h"
 #include "base/strings.h"
 #include "engine/counting.h"
 #include "engine/magic.h"
-#include "engine/unify.h"
 #include "graph/dependency_graph.h"
 
 namespace ldl {
@@ -44,39 +44,6 @@ Program ReachableSubprogram(const Program& program, const Literal& goal,
   return out;
 }
 
-Relation SelectMatching(Relation* rel, const Literal& goal) {
-  Relation out("answers", goal.arity());
-  if (rel == nullptr) return out;
-  // Index on the ground positions of the goal.
-  std::vector<int> bound_cols;
-  Tuple key;
-  for (size_t i = 0; i < goal.arity(); ++i) {
-    if (goal.args()[i].IsGround()) {
-      bound_cols.push_back(static_cast<int>(i));
-      key.push_back(goal.args()[i]);
-    }
-  }
-  auto consider = [&out, &goal](const Tuple& t) {
-    Substitution subst;
-    bool ok = true;
-    for (size_t i = 0; i < goal.arity(); ++i) {
-      if (!Unify(goal.args()[i], t[i], &subst)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.Insert(t);
-  };
-  if (!bound_cols.empty()) {
-    for (uint32_t id : rel->Lookup(bound_cols, key)) {
-      consider(rel->tuple(id));
-    }
-  } else {
-    for (const Tuple& t : rel->tuples()) consider(t);
-  }
-  return out;
-}
-
 std::vector<Tuple> CanonicalAnswers(const Relation& answers) {
   std::vector<Tuple> out = answers.tuples();
   std::sort(out.begin(), out.end());
@@ -85,10 +52,14 @@ std::vector<Tuple> CanonicalAnswers(const Relation& answers) {
 
 std::string AnswerFingerprint(const Relation& answers) {
   // Commutative accumulation (sum of per-tuple hashes) so the digest is
-  // independent of insertion order without sorting.
+  // independent of insertion order without sorting. The per-tuple hash is
+  // fixed here, not shared with storage: recorded fingerprints (query logs,
+  // bench work digests) stay comparable when storage hashing changes.
   uint64_t acc = 0;
   for (const Tuple& t : answers.tuples()) {
-    acc += static_cast<uint64_t>(TupleHash{}(t)) * 0x9e3779b97f4a7c15ULL;
+    size_t hash = t.size();
+    for (const Term& v : t) HashCombine(&hash, v.Hash());
+    acc += static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ULL;
   }
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%zu:%016llx", answers.size(),

@@ -60,10 +60,6 @@ Result<QueryResult> EvaluateQuery(const Program& program, Database* base,
 Program ReachableSubprogram(const Program& program, const Literal& goal,
                             std::vector<size_t>* index_map = nullptr);
 
-/// Selects from `rel` the tuples matching `goal`'s argument pattern and
-/// returns them as a relation of the same arity.
-Relation SelectMatching(Relation* rel, const Literal& goal);
-
 /// Canonical form of an answer set: the tuples sorted by Term's total
 /// order. Two evaluations of the same query are equivalent iff their
 /// canonical forms are equal, regardless of derivation order — the

@@ -129,9 +129,25 @@ bool Unify(const Term& a, const Term& b, Substitution* subst) {
   return false;
 }
 
-bool Match(const Term& pattern, const Term& value, Substitution* subst) {
-  // With a ground `value`, Unify never binds variables of `value`.
-  return Unify(pattern, value, subst);
+bool GroundUnify(const Term& a, const Term& b) {
+  if (a.kind() != b.kind()) {
+    return a.IsNumeric() && b.IsNumeric() && a.AsDouble() == b.AsDouble();
+  }
+  switch (a.kind()) {
+    case TermKind::kInt:
+      return a.int_value() == b.int_value();
+    case TermKind::kReal:
+      return a.real_value() == b.real_value();
+    case TermKind::kFunction: {
+      if (a.text() != b.text() || a.arity() != b.arity()) return false;
+      for (size_t i = 0; i < a.arity(); ++i) {
+        if (!GroundUnify(a.args()[i], b.args()[i])) return false;
+      }
+      return true;
+    }
+    default:
+      return a.text() == b.text();
+  }
 }
 
 }  // namespace ldl

@@ -52,9 +52,9 @@ class Substitution {
 /// ground terms, where the check is moot).
 bool Unify(const Term& a, const Term& b, Substitution* subst);
 
-/// One-way pattern match of `pattern` against a ground `value`: like Unify
-/// but guaranteed not to bind variables inside `value`.
-bool Match(const Term& pattern, const Term& value, Substitution* subst);
+/// Unify on two ground terms, which binds nothing: structural equality
+/// where numbers compare by value across kinds (1 unifies with 1.0).
+bool GroundUnify(const Term& a, const Term& b);
 
 }  // namespace ldl
 

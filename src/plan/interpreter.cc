@@ -128,9 +128,10 @@ void TreeInterpreter::RecordScanActuals(const PlanNode& node,
                                         const Relation* rel) {
   // Scans under AND/CC parents are resolved inline (never through
   // ExecuteNode), so their actuals are recorded here: one execution per
-  // resolution, rows = the materialized base relation. Selection against
-  // the binding happens downstream in the rule evaluator, so a scan's
-  // per-execution rows measure the relation's total cardinality.
+  // resolution (the rule evaluator resolves each body position once per
+  // rule evaluation), rows = the materialized base relation. Selection
+  // against the binding happens downstream in the rule evaluator, so a
+  // scan's per-execution rows measure the relation's total cardinality.
   NodeActuals& actuals = profile_.nodes[&node];
   actuals.executions++;
   actuals.out_rows += rel == nullptr ? 0 : rel->size();

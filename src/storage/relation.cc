@@ -180,7 +180,7 @@ std::vector<size_t> Relation::DistinctCounts() const {
   for (const Tuple& t : tuples_) {
     for (size_t c = 0; c < arity_; ++c) {
       size_t hash = c;
-      HashCombine(&hash, t[c].Hash());
+      HashCombine(&hash, Mix64(t[c].Hash()));
       const bool added = seen.Insert(hash, [&](uint32_t id) {
         return values[id].col == c && *values[id].term == t[c];
       });

@@ -6,8 +6,6 @@
 #include <limits>
 #include <vector>
 
-#include "base/hash.h"
-
 namespace ldl {
 
 /// Duplicate detection for an append-only row store: an open-addressing set
@@ -19,10 +17,11 @@ namespace ldl {
 /// probed linearly. A probe compares cached hashes first and asks the owner
 /// to compare rows only on a full 64-bit hash match.
 ///
-/// The slot index is Mix64(hash), not the hash itself: TupleHash gives
-/// neighbouring small-integer tuples nearly consecutive hashes, which,
-/// masked directly, fill adjacent slots that linear probing merges into
-/// runs thousands of slots long.
+/// The slot index is the hash's low bits, so callers pass well-mixed
+/// hashes: TupleHash and Relation::DistinctCounts pass every column's
+/// Term::Hash through Mix64 first. (Masked directly, the unmixed hashes of
+/// neighbouring small-integer tuples are nearly consecutive and fill
+/// adjacent slots that linear probing merges into long runs.)
 class RowIdSet {
  public:
   static constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
@@ -73,7 +72,7 @@ class RowIdSet {
   template <typename Same>
   size_t Probe(size_t hash, Same& same) const {
     const size_t mask = slots_.size() - 1;
-    for (size_t i = Mix64(hash) & mask;; i = (i + 1) & mask) {
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
       const uint32_t slot = slots_[i];
       if (slot == 0 || (hashes_[slot - 1] == hash && same(slot - 1))) {
         return i;

@@ -1,4 +1,5 @@
-// bench_diff — wall-time regression gate over the bench JSON exports.
+// bench_diff — wall-time and work regression gate over the bench JSON
+// exports.
 //
 // Usage: bench_diff [options] BASELINE_DIR CURRENT_DIR
 //
@@ -16,6 +17,12 @@
 // "ms" or "time"; rows are matched positionally and must agree on their
 // first (label) cell — a reshaped table is reported as skipped, not failed,
 // so adding a workload does not masquerade as a regression.
+//
+// Work columns — headers exactly "examined" or "derived" — count tuples,
+// which are deterministic for a given algorithm and input and do not
+// depend on the machine. They must equal the baseline exactly, whatever
+// the threshold: a change in work is a change in the algorithm, which the
+// baselines record only when deliberately refreshed.
 //
 // Each file also carries a "host" object (nproc, cpu, build_type). When the
 // baseline's host differs from the run's, or the baseline has none, a
@@ -276,6 +283,10 @@ bool TimeLikeHeader(const std::string& header) {
          h.find("time") != std::string::npos;
 }
 
+bool WorkHeader(const std::string& header) {
+  return header == "examined" || header == "derived";
+}
+
 bool ParseCell(const std::string& cell, double* out) {
   if (cell.empty() || cell == "-") return false;
   char* end = nullptr;
@@ -359,11 +370,17 @@ void WarnOnHostMismatch(const std::string& name, const JsonValue& baseline,
             << "]; wall times compare across machines\n";
 }
 
+/// Cells compared so far, by kind.
+struct Checked {
+  size_t time = 0;
+  size_t work = 0;
+};
+
 /// Compares one bench file pair; returns the number of regressions and
-/// prints each. `checked` counts the time-cell comparisons actually made.
+/// prints each. `checked` counts the comparisons actually made.
 size_t DiffFile(const std::string& name, const JsonValue& baseline,
                 const JsonValue& current, const Options& options,
-                size_t* checked) {
+                Checked* checked) {
   std::vector<FlatTable> base_tables = ExtractTables(baseline);
   std::vector<FlatTable> cur_tables = ExtractTables(current);
   size_t regressions = 0;
@@ -391,7 +408,8 @@ size_t DiffFile(const std::string& name, const JsonValue& baseline,
       continue;
     }
     for (size_t c = 0; c < cur.headers.size(); ++c) {
-      if (!TimeLikeHeader(cur.headers[c])) continue;
+      const bool work = WorkHeader(cur.headers[c]);
+      if (!work && !TimeLikeHeader(cur.headers[c])) continue;
       size_t rows = std::min(cur.rows.size(), base->rows.size());
       for (size_t r = 0; r < rows; ++r) {
         const auto& cur_row = cur.rows[r];
@@ -408,7 +426,18 @@ size_t DiffFile(const std::string& name, const JsonValue& baseline,
             !ParseCell(base_row[c], &base_v)) {
           continue;
         }
-        ++*checked;
+        if (work) {
+          ++checked->work;
+          if (cur_v != base_v) {
+            ++regressions;
+            std::printf("%s %s [%s] row \"%s\": %.0f -> %.0f (work must "
+                        "match the baseline exactly)\n",
+                        name.c_str(), cur.id.c_str(), cur.headers[c].c_str(),
+                        cur_row[0].c_str(), base_v, cur_v);
+          }
+          continue;
+        }
+        ++checked->time;
         if (std::max(cur_v, base_v) < options.min_baseline_ms) continue;
         double limit = base_v * (1.0 + options.threshold_pct / 100.0);
         if (cur_v > limit) {
@@ -490,7 +519,7 @@ int main(int argc, char** argv) {
   }
 
   size_t regressions = 0;
-  size_t checked = 0;
+  Checked checked;
   for (const fs::path& cur_path : current_files) {
     const std::string name = cur_path.filename().string();
     fs::path base_path = fs::path(options.baseline_dir) / name;
@@ -520,9 +549,10 @@ int main(int argc, char** argv) {
     regressions += DiffFile(name, baseline, current, options, &checked);
   }
 
-  std::printf("bench_diff: %zu time cells checked, %zu regression%s "
-              "(threshold %.0f%%, floor %.1f ms)\n",
-              checked, regressions, regressions == 1 ? "" : "s",
-              options.threshold_pct, options.min_baseline_ms);
+  std::printf("bench_diff: %zu time cells and %zu work cells checked, %zu "
+              "regression%s (threshold %.0f%%, floor %.1f ms, work exact)\n",
+              checked.time, checked.work, regressions,
+              regressions == 1 ? "" : "s", options.threshold_pct,
+              options.min_baseline_ms);
   return regressions > 0 ? 1 : 0;
 }
