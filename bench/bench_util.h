@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/json.h"
 #include "base/strings.h"
 #include "obs/process_metrics.h"
 
@@ -64,22 +65,34 @@ class JsonSink {
       std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
       return;
     }
-    out << "{\"bench\":\"" << JsonEscape(name) << "\",\"host\":{\"nproc\":"
-        << std::thread::hardware_concurrency() << ",\"cpu\":\""
-        << JsonEscape(CpuModel()) << "\",\"build_type\":\""
-        << JsonEscape(CurrentBuildInfo().build_type) << "\"},\"experiments\":[";
-    for (size_t s = 0; s < sections_.size(); ++s) {
-      if (s) out << ",";
-      const Section& section = sections_[s];
-      out << "{\"id\":\"" << JsonEscape(section.id) << "\",\"title\":\""
-          << JsonEscape(section.title) << "\",\"tables\":[";
-      for (size_t t = 0; t < section.tables.size(); ++t) {
-        if (t) out << ",";
-        WriteTable(out, section.tables[t]);
+    JsonWriter w;
+    w.BeginObject()
+        .Member("bench", name)
+        .Key("host")
+        .BeginObject()
+        .Member("nproc", std::thread::hardware_concurrency())
+        .Member("cpu", CpuModel())
+        .Member("build_type", CurrentBuildInfo().build_type)
+        .EndObject()
+        .Key("experiments")
+        .BeginArray();
+    for (const Section& section : sections_) {
+      w.BeginObject()
+          .Member("id", section.id)
+          .Member("title", section.title)
+          .Key("tables")
+          .BeginArray();
+      for (const TableData& table : section.tables) {
+        w.BeginObject().Key("headers");
+        WriteStringArray(w, table.headers);
+        w.Key("rows").BeginArray();
+        for (const auto& row : table.rows) WriteStringArray(w, row);
+        w.EndArray().EndObject();
       }
-      out << "]}";
+      w.EndArray().EndObject();
     }
-    out << "]}\n";
+    w.EndArray().EndObject();
+    out << w.str() << "\n";
     std::printf("wrote %s\n", path.c_str());
   }
 
@@ -94,25 +107,11 @@ class JsonSink {
     std::vector<TableData> tables;
   };
 
-  static void WriteStringArray(std::ofstream& out,
+  static void WriteStringArray(JsonWriter& w,
                                const std::vector<std::string>& items) {
-    out << "[";
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (i) out << ",";
-      out << "\"" << JsonEscape(items[i]) << "\"";
-    }
-    out << "]";
-  }
-
-  static void WriteTable(std::ofstream& out, const TableData& table) {
-    out << "{\"headers\":";
-    WriteStringArray(out, table.headers);
-    out << ",\"rows\":[";
-    for (size_t r = 0; r < table.rows.size(); ++r) {
-      if (r) out << ",";
-      WriteStringArray(out, table.rows[r]);
-    }
-    out << "]}";
+    w.BeginArray();
+    for (const std::string& item : items) w.Value(item);
+    w.EndArray();
   }
 
   std::vector<Section> sections_;

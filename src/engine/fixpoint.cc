@@ -32,20 +32,19 @@ void FixpointStats::ExportTo(MetricsRegistry* metrics) const {
   counters.ExportTo(metrics);
 }
 
-void FixpointStats::WriteIterationsJson(std::ostream& os) const {
-  os << "[";
-  for (size_t i = 0; i < per_iteration.size(); ++i) {
-    const FixpointIteration& it = per_iteration[i];
-    if (i > 0) os << ",";
-    os << "\n  {\"clique\": \"" << JsonEscape(it.clique)
-       << "\", \"method\": \"" << JsonEscape(it.method)
-       << "\", \"iteration\": " << it.iteration
-       << ", \"delta_tuples\": " << it.delta_tuples
-       << ", \"derivations\": " << it.derivations
-       << ", \"wall_ms\": " << it.wall_ms << "}";
+void FixpointStats::WriteIterationsJson(JsonWriter& w) const {
+  w.BeginArray();
+  for (const FixpointIteration& it : per_iteration) {
+    w.BeginObject()
+        .Member("clique", it.clique)
+        .Member("method", it.method)
+        .Member("iteration", it.iteration)
+        .Member("delta_tuples", it.delta_tuples)
+        .Member("derivations", it.derivations)
+        .Member("wall_ms", it.wall_ms)
+        .EndObject();
   }
-  if (!per_iteration.empty()) os << "\n";
-  os << "]\n";
+  w.EndArray();
 }
 
 namespace {

@@ -1,12 +1,12 @@
 #ifndef LDLOPT_ENGINE_FIXPOINT_H_
 #define LDLOPT_ENGINE_FIXPOINT_H_
 
-#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "ast/program.h"
+#include "base/json.h"
 #include "base/status.h"
 #include "engine/rule_eval.h"
 #include "obs/context.h"
@@ -80,7 +80,7 @@ struct FixpointStats {
   /// JSON array of the per-round telemetry:
   /// [{"clique","method","iteration","delta_tuples","derivations",
   ///   "wall_ms"}, ...].
-  void WriteIterationsJson(std::ostream& os) const;
+  void WriteIterationsJson(JsonWriter& w) const;
 };
 
 /// Evaluates every derived predicate of `program` bottom-up into `scratch`.

@@ -6,10 +6,11 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <sstream>
 
+#include "base/json.h"
 #include "base/strings.h"
 #include "obs/prometheus.h"
 
@@ -208,59 +209,59 @@ std::string StatsServer::RenderMetrics() {
 }
 
 std::string StatsServer::RenderStatusz() {
-  std::ostringstream os;
-  os << "{";
-  os << "\"server\":{\"port\":" << port_ << ",\"requests\":"
-     << requests_.load(std::memory_order_relaxed) << "}";
+  JsonWriter w;
+  w.BeginObject()
+      .Key("server")
+      .BeginObject()
+      .Member("port", port())
+      .Member("requests", requests_.load(std::memory_order_relaxed))
+      .EndObject();
   if (options_.process != nullptr) {
     const BuildInfo& info = options_.process->build_info();
-    char uptime[40];
-    std::snprintf(uptime, sizeof(uptime), "%.3f",
-                  options_.process->uptime_seconds());
-    os << ",\"uptime_seconds\":" << uptime;
-    os << ",\"peak_rss_bytes\":" << ReadPeakRssBytes();
-    os << ",\"build\":{"
-       << "\"compiler\":\"" << JsonEscape(info.compiler) << "\","
-       << "\"standard\":\"" << JsonEscape(info.standard) << "\","
-       << "\"build_type\":\"" << JsonEscape(info.build_type) << "\","
-       << "\"git\":\"" << JsonEscape(info.git) << "\","
-       << "\"sanitizer\":\"" << JsonEscape(info.sanitizer) << "\"}";
+    w.Member("uptime_seconds", options_.process->uptime_seconds())
+        .Member("peak_rss_bytes", ReadPeakRssBytes())
+        .Key("build")
+        .BeginObject()
+        .Member("compiler", info.compiler)
+        .Member("standard", info.standard)
+        .Member("build_type", info.build_type)
+        .Member("git", info.git)
+        .Member("sanitizer", info.sanitizer)
+        .EndObject();
   }
   if (options_.statistics != nullptr) {
-    os << ",\"stats_epoch\":" << options_.statistics->epoch();
+    w.Member("stats_epoch", options_.statistics->epoch());
   }
-  if (options_.drift != nullptr) {
-    char q[40];
-    std::snprintf(q, sizeof(q), "%.6g", options_.drift->last_max_q_error());
-    os << ",\"feedback\":{\"drift_events\":" << options_.drift->drift_events()
-       << ",\"last_max_q_error\":" << q;
-    if (options_.feedback != nullptr) {
-      os << ",\"catalog_entries\":" << options_.feedback->size()
-         << ",\"observations\":" << options_.feedback->total_observations();
+  if (options_.drift != nullptr || options_.feedback != nullptr) {
+    w.Key("feedback").BeginObject();
+    if (options_.drift != nullptr) {
+      w.Member("drift_events", options_.drift->drift_events())
+          .Member("last_max_q_error", options_.drift->last_max_q_error());
     }
-    os << "}";
-  } else if (options_.feedback != nullptr) {
-    os << ",\"feedback\":{\"catalog_entries\":" << options_.feedback->size()
-       << ",\"observations\":" << options_.feedback->total_observations()
-       << "}";
+    if (options_.feedback != nullptr) {
+      w.Member("catalog_entries", options_.feedback->size())
+          .Member("observations", options_.feedback->total_observations());
+    }
+    w.EndObject();
   }
   if (options_.sampler != nullptr) {
-    os << ",\"timeseries\":";
-    options_.sampler->WriteJson(os);
+    options_.sampler->WriteJson(w.Key("timeseries"));
   }
   if (options_.query_log != nullptr) {
     const std::vector<QueryLogRecord> records = options_.query_log->snapshot();
-    const size_t tail =
-        records.size() > options_.log_tail ? options_.log_tail : records.size();
-    os << ",\"query_log\":{\"records\":" << records.size() << ",\"tail\":[";
+    const size_t tail = std::min(records.size(), options_.log_tail);
+    w.Key("query_log")
+        .BeginObject()
+        .Member("records", records.size())
+        .Key("tail")
+        .BeginArray();
     for (size_t i = records.size() - tail; i < records.size(); ++i) {
-      if (i != records.size() - tail) os << ",";
-      os << records[i].ToJson();
+      records[i].WriteJson(w);
     }
-    os << "]}";
+    w.EndArray().EndObject();
   }
-  os << "}";
-  return os.str();
+  w.EndObject();
+  return w.str();
 }
 
 }  // namespace ldl

@@ -1,11 +1,11 @@
 #include "obs/calibration.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <utility>
 
+#include "base/json.h"
 #include "base/strings.h"
 #include "engine/fixpoint.h"
 
@@ -16,18 +16,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-/// JSON number: %.17g round-trips doubles; non-finite values (unsafe-plan
-/// costs) have no JSON encoding and render as null.
-void JsonNumber(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
 }
 
 /// Same vocabulary as EXPLAIN's node labels (plan/explain.cc), minus the
@@ -50,23 +38,19 @@ void RecordInto(std::map<std::string, std::unique_ptr<Histogram>>* hists,
 }
 
 void WriteHistogramGroup(
-    std::ostream& os,
+    JsonWriter& w,
     const std::map<std::string, std::unique_ptr<Histogram>>& hists) {
-  os << '{';
-  bool first = true;
+  w.BeginObject();
   for (const auto& [key, h] : hists) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << JsonEscape(key) << "\":{\"count\":" << h->count()
-       << ",\"p50\":";
-    JsonNumber(os, h->percentile(0.5));
-    os << ",\"p95\":";
-    JsonNumber(os, h->percentile(0.95));
-    os << ",\"max\":";
-    JsonNumber(os, h->max());
-    os << '}';
+    w.Key(key)
+        .BeginObject()
+        .Member("count", h->count())
+        .Member("p50", h->percentile(0.5))
+        .Member("p95", h->percentile(0.95))
+        .Member("max", h->max())
+        .EndObject();
   }
-  os << '}';
+  w.EndObject();
 }
 
 std::string OrderToString(const std::vector<size_t>& order) {
@@ -178,54 +162,44 @@ void CalibrationReport::ExportTo(MetricsRegistry* metrics) const {
   }
 }
 
-void CalibrationReport::WriteJson(std::ostream& os) const {
-  os << "{\"query\":\"" << JsonEscape(query_) << "\",\"nodes\":[";
-  bool first = true;
+void CalibrationReport::WriteJson(JsonWriter& w) const {
+  w.BeginObject().Member("query", query_).Key("nodes").BeginArray();
   for (const NodeCalibration& nc : nodes_) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"label\":\"" << JsonEscape(nc.label) << "\",\"kind\":\""
-       << JsonEscape(nc.kind) << "\",\"method\":\"" << JsonEscape(nc.method)
-       << "\",\"depth\":" << nc.depth << ",\"est_rows\":";
-    JsonNumber(os, nc.est_rows);
-    os << ",\"act_rows\":";
-    JsonNumber(os, nc.act_rows);
-    os << ",\"executions\":" << nc.executions
-       << ",\"memo_hits\":" << nc.memo_hits << ",\"q_error\":";
-    JsonNumber(os, nc.q_error);
-    os << '}';
+    w.BeginObject()
+        .Member("label", nc.label)
+        .Member("kind", nc.kind)
+        .Member("method", nc.method)
+        .Member("depth", nc.depth)
+        .Member("est_rows", nc.est_rows)
+        .Member("act_rows", nc.act_rows)
+        .Member("executions", nc.executions)
+        .Member("memo_hits", nc.memo_hits)
+        .Member("q_error", nc.q_error)
+        .EndObject();
   }
-  os << "],\"aggregate\":{\"nodes\":" << nodes_.size()
-     << ",\"median_q_error\":";
-  JsonNumber(os, median_q_error());
-  os << ",\"p95_q_error\":";
-  JsonNumber(os, p95_q_error());
-  os << ",\"max_q_error\":";
-  JsonNumber(os, max_q_error());
-  os << "},\"by_kind\":";
-  WriteHistogramGroup(os, by_kind_);
-  os << ",\"by_method\":";
-  WriteHistogramGroup(os, by_method_);
-  os << ",\"regret\":{\"computed\":" << (regret_.computed ? "true" : "false")
-     << ",\"note\":\"" << JsonEscape(regret_.note)
-     << "\",\"est_cost_chosen\":";
-  JsonNumber(os, regret_.est_cost_chosen);
-  os << ",\"measured_cost_chosen\":";
-  JsonNumber(os, regret_.measured_cost_chosen);
-  os << ",\"measured_cost_hindsight\":";
-  JsonNumber(os, regret_.measured_cost_hindsight);
-  os << ",\"regret\":";
-  JsonNumber(os, regret_.regret());
-  os << ",\"ratio\":";
-  JsonNumber(os, regret_.ratio());
-  os << ",\"changes\":[";
-  first = true;
-  for (const std::string& c : regret_.changes) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << JsonEscape(c) << '"';
-  }
-  os << "]}}";
+  w.EndArray()
+      .Key("aggregate")
+      .BeginObject()
+      .Member("nodes", nodes_.size())
+      .Member("median_q_error", median_q_error())
+      .Member("p95_q_error", p95_q_error())
+      .Member("max_q_error", max_q_error())
+      .EndObject();
+  WriteHistogramGroup(w.Key("by_kind"), by_kind_);
+  WriteHistogramGroup(w.Key("by_method"), by_method_);
+  w.Key("regret")
+      .BeginObject()
+      .Member("computed", regret_.computed)
+      .Member("note", regret_.note)
+      .Member("est_cost_chosen", regret_.est_cost_chosen)
+      .Member("measured_cost_chosen", regret_.measured_cost_chosen)
+      .Member("measured_cost_hindsight", regret_.measured_cost_hindsight)
+      .Member("regret", regret_.regret())
+      .Member("ratio", regret_.ratio())
+      .Key("changes")
+      .BeginArray();
+  for (const std::string& c : regret_.changes) w.Value(c);
+  w.EndArray().EndObject().EndObject();
 }
 
 std::string CalibrationReport::ToString() const {

@@ -3,10 +3,10 @@
 
 #include <map>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "optimizer/optimizer.h"
@@ -116,7 +116,7 @@ class CalibrationReport {
 
   /// One JSON object: query, per-node entries, aggregate percentiles,
   /// by_kind / by_method summaries, and the regret section.
-  void WriteJson(std::ostream& os) const;
+  void WriteJson(JsonWriter& w) const;
 
   /// Human-readable table plus aggregate and regret lines (the CALIBRATION
   /// and REGRET sections of EXPLAIN ANALYZE).

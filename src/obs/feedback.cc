@@ -1,13 +1,11 @@
 #include "obs/feedback.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "base/json.h"
 #include "base/strings.h"
 #include "obs/calibration.h"
 
@@ -15,111 +13,7 @@ namespace ldl {
 
 namespace {
 
-/// Shortest representation that parses back to the same double (%.17g is
-/// always exact; try %.15g first so common values stay readable).
-std::string RoundTripDouble(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-void AppendField(std::string* out, const char* key, const std::string& v) {
-  StrAppend(out, "\"", key, "\":\"", JsonEscape(v), "\",");
-}
-void AppendField(std::string* out, const char* key, uint64_t v) {
-  StrAppend(out, "\"", key, "\":", std::to_string(v), ",");
-}
-void AppendField(std::string* out, const char* key, double v) {
-  StrAppend(out, "\"", key, "\":", RoundTripDouble(v), ",");
-}
-
-/// Minimal recursive-descent reader for the catalog export schema: one
-/// object with scalar fields plus an "entries" array of flat objects.
-class CatalogJsonParser {
- public:
-  explicit CatalogJsonParser(const std::string& text) : text_(text) {}
-
-  Status Fail(const std::string& why) const {
-    return Status::InvalidArgument(
-        StrCat("stats catalog: ", why, " at offset ", pos_));
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  Status ParseString(std::string* out) {
-    SkipSpace();
-    if (!Consume('"')) return Fail("expected '\"'");
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        default: return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  /// Raw scalar token: number / true / false, up to , } or ].
-  Status ParseScalarToken(std::string* out) {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}' &&
-           text_[pos_] != ']') {
-      ++pos_;
-    }
-    *out = std::string(
-        StripWhitespace(std::string_view(text_).substr(start, pos_ - start)));
-    if (out->empty()) return Fail("expected value");
-    return Status::OK();
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-/// One parsed entry, pre-validation.
+/// One catalog entry as exported, keyed by its predicate's parts.
 struct RawEntry {
   std::string predicate;
   uint64_t arity = 0;
@@ -127,35 +21,26 @@ struct RawEntry {
   CatalogEntry entry;
 };
 
-Status ParseEntryObject(CatalogJsonParser* p, RawEntry* out) {
-  if (!p->Consume('{')) return p->Fail("expected '{' for entry");
-  if (p->Consume('}')) return Status::OK();
-  while (true) {
-    std::string key;
-    LDL_RETURN_NOT_OK(p->ParseString(&key));
-    if (!p->Consume(':')) return p->Fail("expected ':'");
-    if (p->Peek('"')) {
-      std::string value;
-      LDL_RETURN_NOT_OK(p->ParseString(&value));
-      if (key == "predicate") out->predicate = std::move(value);
-      else if (key == "adornment") out->adornment = std::move(value);
-      // else: unknown string key — ignored for forward compatibility.
-    } else {
-      std::string token;
-      LDL_RETURN_NOT_OK(p->ParseScalarToken(&token));
-      auto u64 = [&]() { return std::strtoull(token.c_str(), nullptr, 10); };
-      auto f64 = [&]() { return std::strtod(token.c_str(), nullptr); };
-      if (key == "arity") out->arity = u64();
-      else if (key == "card") out->entry.card = f64();
-      else if (key == "weight") out->entry.weight = f64();
-      else if (key == "observations") out->entry.observations = u64();
-      else if (key == "first_epoch") out->entry.first_epoch = u64();
-      else if (key == "last_epoch") out->entry.last_epoch = u64();
-      // else: unknown scalar key — ignored for forward compatibility.
-    }
-    if (p->Consume('}')) return Status::OK();
-    if (!p->Consume(',')) return p->Fail("expected ',' or '}'");
-  }
+/// The entry fields in export order: the one list that ToJson,
+/// RenderStatsJson and MergeJson share.
+template <typename Entry, typename F>
+void ForEachEntryField(Entry& r, F&& f) {
+  f("predicate", r.predicate);
+  f("arity", r.arity);
+  f("adornment", r.adornment);
+  f("card", r.entry.card);
+  f("weight", r.entry.weight);
+  f("observations", r.entry.observations);
+  f("first_epoch", r.entry.first_epoch);
+  f("last_epoch", r.entry.last_epoch);
+}
+
+void WriteEntryFields(JsonWriter& w, const AdornedPredicate& key,
+                      const CatalogEntry& e) {
+  const RawEntry r{key.pred.name, key.pred.arity, key.adornment.ToString(), e};
+  ForEachEntryField(r, [&w](const char* name, const auto& v) {
+    w.Member(name, v);
+  });
 }
 
 }  // namespace
@@ -243,76 +128,53 @@ MeasuredStatistics StatisticsCatalog::BlendedOverlay(
   return overlay;
 }
 
-void StatisticsCatalog::WriteJson(std::ostream& os) const {
-  os << ToJson();
-}
-
 std::string StatisticsCatalog::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{";
-  AppendField(&out, "version", static_cast<uint64_t>(1));
-  AppendField(&out, "decay", options_.decay);
-  StrAppend(&out, "\"entries\":[");
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Member("version", 1).Member("decay", options_.decay);
+  w.Key("entries").BeginArray();
   for (const auto& [key, e] : entries_) {
-    if (!first) out.push_back(',');
-    first = false;
-    std::string obj = "{";
-    AppendField(&obj, "predicate", key.pred.name);
-    AppendField(&obj, "arity", static_cast<uint64_t>(key.pred.arity));
-    AppendField(&obj, "adornment", key.adornment.ToString());
-    AppendField(&obj, "card", e.card);
-    AppendField(&obj, "weight", e.weight);
-    AppendField(&obj, "observations", e.observations);
-    AppendField(&obj, "first_epoch", e.first_epoch);
-    AppendField(&obj, "last_epoch", e.last_epoch);
-    obj.back() = '}';  // replace the trailing comma
-    StrAppend(&out, obj);
+    w.BeginObject();
+    WriteEntryFields(w, key, e);
+    w.EndObject();
   }
-  StrAppend(&out, "]}");
-  return out;
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 Status StatisticsCatalog::MergeJson(const std::string& text) {
-  CatalogJsonParser p(text);
-  if (!p.Consume('{')) return p.Fail("expected '{'");
+  auto fail = [](std::string_view why) {
+    return Status::InvalidArgument(StrCat("stats catalog: ", why));
+  };
+  Result<JsonValue> doc = ParseJson(text);
+  if (!doc.ok()) return fail(doc.status().message());
+  if (doc->kind != JsonValue::Kind::kObject) return fail("expected an object");
+  if (const JsonValue* version = doc->Find("version")) {
+    uint64_t v = 0;
+    Status st = version->Get(&v);
+    if (!st.ok()) return fail(StrCat("\"version\": ", st.message()));
+    if (v > 1) return fail(StrCat("unsupported version ", v));
+  }
+  // "decay" and unknown keys are informational.
   std::vector<RawEntry> raw;
-  if (!p.Consume('}')) {
-    while (true) {
-      std::string key;
-      LDL_RETURN_NOT_OK(p.ParseString(&key));
-      if (!p.Consume(':')) return p.Fail("expected ':'");
-      if (key == "entries") {
-        if (!p.Consume('[')) return p.Fail("expected '['");
-        if (!p.Consume(']')) {
-          while (true) {
-            RawEntry entry;
-            LDL_RETURN_NOT_OK(ParseEntryObject(&p, &entry));
-            raw.push_back(std::move(entry));
-            if (p.Consume(']')) break;
-            if (!p.Consume(',')) return p.Fail("expected ',' or ']'");
-          }
-        }
-      } else if (p.Peek('"')) {
-        std::string ignored;
-        LDL_RETURN_NOT_OK(p.ParseString(&ignored));
-      } else {
-        std::string token;
-        LDL_RETURN_NOT_OK(p.ParseScalarToken(&token));
-        if (key == "version") {
-          const uint64_t version = std::strtoull(token.c_str(), nullptr, 10);
-          if (version > 1) {
-            return Status::InvalidArgument(
-                StrCat("stats catalog: unsupported version ", version));
-          }
-        }
-        // "decay" and unknown scalars are informational.
+  if (const JsonValue* entries = doc->Find("entries")) {
+    if (entries->kind != JsonValue::Kind::kArray) {
+      return fail("\"entries\": expected an array");
+    }
+    for (const JsonValue& item : entries->items) {
+      if (item.kind != JsonValue::Kind::kObject) {
+        return fail("entry: expected an object");
       }
-      if (p.Consume('}')) break;
-      if (!p.Consume(',')) return p.Fail("expected ',' or '}'");
+      RawEntry& r = raw.emplace_back();
+      for (const auto& [key, value] : item.members) {
+        Status st;
+        ForEachEntryField(r, [&](const char* name, auto& field) {
+          if (key == name) st = value.Get(&field);
+        });
+        if (!st.ok()) return fail(StrCat("\"", key, "\": ", st.message()));
+      }
     }
   }
-  if (!p.AtEnd()) return p.Fail("trailing content");
 
   // Validate fully before mutating: an import either applies or doesn't.
   std::vector<std::pair<AdornedPredicate, CatalogEntry>> parsed;
@@ -474,95 +336,70 @@ std::vector<DriftEvent> DriftDetector::history() const {
 std::string RenderStatsJson(const StatisticsCatalog* catalog,
                             const DriftDetector* drift,
                             const Statistics* stats) {
-  std::string out = "{";
-  if (stats != nullptr) {
-    AppendField(&out, "stats_epoch", stats->epoch());
-  }
+  JsonWriter w;
+  w.BeginObject();
+  if (stats != nullptr) w.Member("stats_epoch", stats->epoch());
   if (drift != nullptr) {
-    AppendField(&out, "drift_events", drift->drift_events());
-    AppendField(&out, "last_max_q_error", drift->last_max_q_error());
+    w.Member("drift_events", drift->drift_events())
+        .Member("last_max_q_error", drift->last_max_q_error());
   }
   if (catalog != nullptr) {
-    StrAppend(&out, "\"catalog\":{");
-    AppendField(&out, "entries", static_cast<uint64_t>(catalog->size()));
-    AppendField(&out, "observations", catalog->total_observations());
-    AppendField(&out, "dropped_observations",
-                catalog->dropped_observations());
-    AppendField(&out, "decay", catalog->options().decay);
-    AppendField(&out, "drift_q_threshold",
-                catalog->options().drift_q_threshold);
-    out.back() = '}';
-    StrAppend(&out, ",\"entries\":[");
-    bool first = true;
+    w.Key("catalog")
+        .BeginObject()
+        .Member("entries", catalog->size())
+        .Member("observations", catalog->total_observations())
+        .Member("dropped_observations", catalog->dropped_observations())
+        .Member("decay", catalog->options().decay)
+        .Member("drift_q_threshold", catalog->options().drift_q_threshold)
+        .EndObject();
+    w.Key("entries").BeginArray();
     for (const auto& [key, e] : catalog->Entries()) {
-      if (!first) out.push_back(',');
-      first = false;
-      std::string obj = "{";
-      AppendField(&obj, "predicate", key.pred.name);
-      AppendField(&obj, "arity", static_cast<uint64_t>(key.pred.arity));
-      AppendField(&obj, "adornment", key.adornment.ToString());
-      AppendField(&obj, "card", e.card);
-      AppendField(&obj, "weight", e.weight);
-      AppendField(&obj, "observations", e.observations);
-      AppendField(&obj, "first_epoch", e.first_epoch);
-      AppendField(&obj, "last_epoch", e.last_epoch);
+      w.BeginObject();
+      WriteEntryFields(w, key, e);
       if (stats != nullptr && key.adornment.AllArgsFree() &&
           stats->Has(key.pred)) {
         const double est = stats->Get(key.pred).cardinality;
-        AppendField(&obj, "estimate", est);
-        AppendField(&obj, "q_error", QError(est, e.card));
+        w.Member("estimate", est).Member("q_error", QError(est, e.card));
       }
-      obj.back() = '}';
-      StrAppend(&out, obj);
+      w.EndObject();
     }
-    StrAppend(&out, "],");
+    w.EndArray();
     if (stats != nullptr) {
       // Coverage gaps: predicates the statistics know that no query has
       // measured yet — the operator's "what is still flying blind" list.
-      StrAppend(&out, "\"unobserved\":[");
-      first = true;
+      w.Key("unobserved").BeginArray();
       for (const PredicateId& pred : stats->Predicates()) {
         CatalogEntry ignored;
         if (catalog->Lookup(pred, Adornment::AllFree(pred.arity), &ignored)) {
           continue;
         }
-        if (!first) out.push_back(',');
-        first = false;
-        std::string obj = "{";
-        AppendField(&obj, "predicate", pred.name);
-        AppendField(&obj, "arity", static_cast<uint64_t>(pred.arity));
-        AppendField(&obj, "cardinality", stats->Get(pred).cardinality);
-        obj.back() = '}';
-        StrAppend(&out, obj);
+        w.BeginObject()
+            .Member("predicate", pred.name)
+            .Member("arity", pred.arity)
+            .Member("cardinality", stats->Get(pred).cardinality)
+            .EndObject();
       }
-      StrAppend(&out, "],");
+      w.EndArray();
     }
   }
   if (drift != nullptr) {
-    StrAppend(&out, "\"drift_history\":[");
-    bool first = true;
+    w.Key("drift_history").BeginArray();
     for (const DriftEvent& event : drift->history()) {
-      if (!first) out.push_back(',');
-      first = false;
-      std::string obj = "{";
-      AppendField(&obj, "predicate", event.key.pred.name);
-      AppendField(&obj, "arity",
-                  static_cast<uint64_t>(event.key.pred.arity));
-      AppendField(&obj, "adornment", event.key.adornment.ToString());
-      AppendField(&obj, "measured", event.measured);
-      AppendField(&obj, "estimated", event.estimated);
-      AppendField(&obj, "q_error", event.q_error);
-      AppendField(&obj, "old_epoch", event.old_epoch);
-      AppendField(&obj, "new_epoch", event.new_epoch);
-      obj.back() = '}';
-      StrAppend(&out, obj);
+      w.BeginObject()
+          .Member("predicate", event.key.pred.name)
+          .Member("arity", event.key.pred.arity)
+          .Member("adornment", event.key.adornment.ToString())
+          .Member("measured", event.measured)
+          .Member("estimated", event.estimated)
+          .Member("q_error", event.q_error)
+          .Member("old_epoch", event.old_epoch)
+          .Member("new_epoch", event.new_epoch)
+          .EndObject();
     }
-    StrAppend(&out, "],");
+    w.EndArray();
   }
-  if (out.back() == ',') out.pop_back();
-  StrAppend(&out, "}");
-  if (out == "{}") return "{}";
-  return out;
+  w.EndObject();
+  return w.str();
 }
 
 }  // namespace ldl

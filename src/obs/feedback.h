@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -116,12 +115,12 @@ class StatisticsCatalog {
   ///    "first_epoch":1,"last_epoch":1}]}
   /// Doubles round-trip exactly; entries are sorted by (predicate,
   /// adornment) so equal catalogs serialize byte-identically.
-  void WriteJson(std::ostream& os) const;
   std::string ToJson() const;
 
-  /// Parses a WriteJson export. Unknown keys are ignored (forward
-  /// compatibility); a version above 1 is rejected. The catalog's own
-  /// options_ are kept — "decay" in the file is informational.
+  /// Parses a ToJson export. Unknown keys are skipped whatever their value
+  /// (forward compatibility); a known key whose value does not fit its
+  /// field, or a version above 1, is rejected. The catalog's own options_
+  /// are kept — "decay" in the file is informational.
   Status MergeJson(const std::string& text);
 
   Status ExportFile(const std::string& path) const;

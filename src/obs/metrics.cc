@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "base/json.h"
 #include "base/strings.h"
 
 namespace ldl {
@@ -198,48 +199,28 @@ MetricsRegistry::HistogramEntries() const {
   return out;
 }
 
-namespace {
-
-/// JSON number formatting: finite doubles only (JSON has no inf/nan).
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 void MetricsRegistry::WriteJson(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":" << c->value();
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":" << JsonNumber(g->value());
-  }
-  os << "},\"histograms\":{";
-  first = true;
+  JsonWriter w;
+  w.BeginObject().Key("counters").BeginObject();
+  for (const auto& [name, c] : counters_) w.Member(name, c->value());
+  w.EndObject().Key("gauges").BeginObject();
+  for (const auto& [name, g] : gauges_) w.Member(name, g->value());
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, h] : histograms_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":{\"count\":" << h->count()
-       << ",\"sum\":" << JsonNumber(h->sum())
-       << ",\"min\":" << JsonNumber(h->min())
-       << ",\"max\":" << JsonNumber(h->max())
-       << ",\"p50\":" << JsonNumber(h->percentile(0.50))
-       << ",\"p95\":" << JsonNumber(h->percentile(0.95))
-       << ",\"p99\":" << JsonNumber(h->percentile(0.99)) << "}";
+    w.Key(name)
+        .BeginObject()
+        .Member("count", h->count())
+        .Member("sum", h->sum())
+        .Member("min", h->min())
+        .Member("max", h->max())
+        .Member("p50", h->percentile(0.50))
+        .Member("p95", h->percentile(0.95))
+        .Member("p99", h->percentile(0.99))
+        .EndObject();
   }
-  os << "}}\n";
+  w.EndObject().EndObject();
+  os << w.str() << "\n";
 }
 
 std::string MetricsRegistry::ToString() const {

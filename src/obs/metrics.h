@@ -129,7 +129,8 @@ class MetricsRegistry {
   std::vector<std::pair<std::string, const Histogram*>> HistogramEntries()
       const;
 
-  /// Flat JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
+  /// Flat JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}
+  /// and a newline.
   void WriteJson(std::ostream& os) const;
 
   /// Human-readable dump (one metric per line, sorted by name).

@@ -1,25 +1,19 @@
 #include "obs/prometheus.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
+
+#include "base/json.h"
 
 namespace ldl {
 
 namespace {
 
-/// Shortest decimal that parses back to the same double; Prometheus spells
-/// non-finite values Inf/-Inf/NaN (unlike JSON, they are representable).
+/// Prometheus spells non-finite values Inf/-Inf/NaN; finite ones as JSON does.
 std::string PromDouble(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
+  return FormatExactDouble(v);
 }
 
 void WriteHeader(std::ostream& os, const std::string& exposed,

@@ -1,238 +1,71 @@
 #include "obs/query_log.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 #include "base/strings.h"
 
 namespace ldl {
 
 namespace {
 
-/// Shortest representation that parses back to the same double (%.17g is
-/// always exact; try %.15g first so common values stay readable).
-std::string RoundTripDouble(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
+/// The record's fields in serialization order: the one list that ToJson
+/// and FromJson share. `f(key, field)` is called once per field.
+template <typename Record, typename F>
+void ForEachField(Record& r, F&& f) {
+  f("program", r.program);
+  f("query", r.query);
+  f("adornment", r.adornment);
+  f("method", r.method);
+  f("plan_fingerprint", r.plan_fingerprint);
+  f("stats_epoch", r.stats_epoch);
+  f("prune", r.prune);
+  f("outcome", r.outcome);
+  f("error", r.error);
+  f("answer_fingerprint", r.answer_fingerprint);
+  f("answers", r.answers);
+  f("budget_bytes", r.budget_bytes);
+  f("deadline_ms", r.deadline_ms);
+  f("peak_bytes", r.peak_bytes);
+  f("tuples_examined", r.tuples_examined);
+  f("tuples_derived", r.tuples_derived);
+  f("fixpoint_rounds", r.fixpoint_rounds);
+  f("rule_firings", r.rule_firings);
+  f("cancel_checks", r.cancel_checks);
+  f("optimize_ms", r.optimize_ms);
+  f("execute_ms", r.execute_ms);
+  f("total_ms", r.total_ms);
 }
-
-void AppendField(std::string* out, const char* key, const std::string& v) {
-  StrAppend(out, "\"", key, "\":\"", JsonEscape(v), "\",");
-}
-void AppendField(std::string* out, const char* key, uint64_t v) {
-  StrAppend(out, "\"", key, "\":", std::to_string(v), ",");
-}
-void AppendField(std::string* out, const char* key, double v) {
-  StrAppend(out, "\"", key, "\":", RoundTripDouble(v), ",");
-}
-void AppendField(std::string* out, const char* key, bool v) {
-  StrAppend(out, "\"", key, "\":", v ? "true" : "false", ",");
-}
-
-/// Minimal parser for the flat JSON objects ToJson emits: string, number,
-/// and boolean values only (no nesting, no arrays). Positioned after '{'.
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(const std::string& text) : text_(text) {}
-
-  Status Fail(const std::string& why) const {
-    return Status::InvalidArgument(
-        StrCat("query log line: ", why, " at offset ", pos_));
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  Status ParseString(std::string* out) {
-    SkipSpace();
-    if (!Consume('"')) return Fail("expected '\"'");
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return Fail("bad \\u escape");
-          }
-          // JsonEscape only emits \u00XX for control bytes.
-          out->push_back(static_cast<char>(code & 0xff));
-          break;
-        }
-        default:
-          return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  /// Raw value token: number / true / false (anything up to , or }).
-  Status ParseScalarToken(std::string* out) {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}') {
-      ++pos_;
-    }
-    *out = std::string(
-        StripWhitespace(std::string_view(text_).substr(start, pos_ - start)));
-    if (out->empty()) return Fail("expected value");
-    return Status::OK();
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
+void QueryLogRecord::WriteJson(JsonWriter& w) const {
+  w.BeginObject();
+  ForEachField(*this, [&w](const char* key, const auto& v) {
+    w.Member(key, v);
+  });
+  w.EndObject();
+}
+
 std::string QueryLogRecord::ToJson() const {
-  std::string out = "{";
-  AppendField(&out, "program", program);
-  AppendField(&out, "query", query);
-  AppendField(&out, "adornment", adornment);
-  AppendField(&out, "method", method);
-  AppendField(&out, "plan_fingerprint", plan_fingerprint);
-  AppendField(&out, "stats_epoch", stats_epoch);
-  AppendField(&out, "prune", prune);
-  AppendField(&out, "outcome", outcome);
-  AppendField(&out, "error", error);
-  AppendField(&out, "answer_fingerprint", answer_fingerprint);
-  AppendField(&out, "answers", answers);
-  AppendField(&out, "budget_bytes", budget_bytes);
-  AppendField(&out, "deadline_ms", deadline_ms);
-  AppendField(&out, "peak_bytes", peak_bytes);
-  AppendField(&out, "tuples_examined", tuples_examined);
-  AppendField(&out, "tuples_derived", tuples_derived);
-  AppendField(&out, "fixpoint_rounds", fixpoint_rounds);
-  AppendField(&out, "rule_firings", rule_firings);
-  AppendField(&out, "cancel_checks", cancel_checks);
-  AppendField(&out, "optimize_ms", optimize_ms);
-  AppendField(&out, "execute_ms", execute_ms);
-  AppendField(&out, "total_ms", total_ms);
-  out.back() = '}';  // replace the trailing comma
-  return out;
+  JsonWriter w;
+  WriteJson(w);
+  return w.str();
 }
 
 Result<QueryLogRecord> QueryLogRecord::FromJson(const std::string& line) {
+  auto fail = [](std::string_view why) {
+    return Status::InvalidArgument(StrCat("query log line: ", why));
+  };
+  Result<JsonValue> doc = ParseJson(line);
+  if (!doc.ok()) return fail(doc.status().message());
+  if (doc->kind != JsonValue::Kind::kObject) return fail("expected an object");
   QueryLogRecord rec;
-  FlatJsonParser p(line);
-  if (!p.Consume('{')) return p.Fail("expected '{'");
-  if (p.Consume('}')) return rec;
-  while (true) {
-    std::string key;
-    LDL_RETURN_NOT_OK(p.ParseString(&key));
-    if (!p.Consume(':')) return p.Fail("expected ':'");
-
-    if (p.Peek('"')) {
-      // String value: lex with escape handling (an unknown key's string
-      // could contain commas/braces that would desync a raw scan).
-      std::string value;
-      LDL_RETURN_NOT_OK(p.ParseString(&value));
-      if (key == "program") rec.program = std::move(value);
-      else if (key == "query") rec.query = std::move(value);
-      else if (key == "adornment") rec.adornment = std::move(value);
-      else if (key == "method") rec.method = std::move(value);
-      else if (key == "plan_fingerprint") rec.plan_fingerprint = std::move(value);
-      else if (key == "outcome") rec.outcome = std::move(value);
-      else if (key == "error") rec.error = std::move(value);
-      else if (key == "answer_fingerprint") rec.answer_fingerprint = std::move(value);
-      // else: unknown string key — ignored for forward compatibility.
-    } else {
-      std::string token;
-      LDL_RETURN_NOT_OK(p.ParseScalarToken(&token));
-      auto u64 = [&]() { return std::strtoull(token.c_str(), nullptr, 10); };
-      auto f64 = [&]() { return std::strtod(token.c_str(), nullptr); };
-      if (key == "stats_epoch") rec.stats_epoch = u64();
-      else if (key == "prune") rec.prune = (token == "true" || token == "1");
-      else if (key == "answers") rec.answers = u64();
-      else if (key == "budget_bytes") rec.budget_bytes = u64();
-      else if (key == "deadline_ms") rec.deadline_ms = f64();
-      else if (key == "peak_bytes") rec.peak_bytes = u64();
-      else if (key == "tuples_examined") rec.tuples_examined = u64();
-      else if (key == "tuples_derived") rec.tuples_derived = u64();
-      else if (key == "fixpoint_rounds") rec.fixpoint_rounds = u64();
-      else if (key == "rule_firings") rec.rule_firings = u64();
-      else if (key == "cancel_checks") rec.cancel_checks = u64();
-      else if (key == "optimize_ms") rec.optimize_ms = f64();
-      else if (key == "execute_ms") rec.execute_ms = f64();
-      else if (key == "total_ms") rec.total_ms = f64();
-      // else: unknown scalar key — ignored for forward compatibility.
-    }
-    if (p.Consume('}')) break;
-    if (!p.Consume(',')) return p.Fail("expected ',' or '}'");
+  for (const auto& [key, value] : doc->members) {
+    Status st;
+    ForEachField(rec, [&](const char* name, auto& field) {
+      if (key == name) st = value.Get(&field);
+    });
+    if (!st.ok()) return fail(StrCat("\"", key, "\": ", st.message()));
   }
-  if (!p.AtEnd()) return p.Fail("trailing content");
   return rec;
-}
-
-bool QueryLogRecord::operator==(const QueryLogRecord& other) const {
-  return program == other.program && query == other.query &&
-         adornment == other.adornment && method == other.method &&
-         plan_fingerprint == other.plan_fingerprint &&
-         stats_epoch == other.stats_epoch && prune == other.prune &&
-         outcome == other.outcome && error == other.error &&
-         answer_fingerprint == other.answer_fingerprint &&
-         answers == other.answers && budget_bytes == other.budget_bytes &&
-         deadline_ms == other.deadline_ms && peak_bytes == other.peak_bytes &&
-         tuples_examined == other.tuples_examined &&
-         tuples_derived == other.tuples_derived &&
-         fixpoint_rounds == other.fixpoint_rounds &&
-         rule_firings == other.rule_firings &&
-         cancel_checks == other.cancel_checks &&
-         optimize_ms == other.optimize_ms && execute_ms == other.execute_ms &&
-         total_ms == other.total_ms;
 }
 
 Status QueryLog::Open(const std::string& path) {

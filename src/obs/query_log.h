@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "base/status.h"
 
 namespace ldl {
@@ -18,8 +19,7 @@ namespace ldl {
 /// resource profile (bytes/tuples/rounds/checks), the outcome (typed), and
 /// the wall-time breakdown.
 ///
-/// The record is deliberately FLAT (scalar fields only) so the log can be
-/// parsed back without a general JSON library; ToJson emits one line,
+/// The record is flat (scalar fields only); ToJson emits one line,
 /// FromJson inverts it exactly (ToJson → FromJson → ToJson is identity).
 struct QueryLogRecord {
   // --- identity ---
@@ -59,15 +59,15 @@ struct QueryLogRecord {
   /// One JSON object on one line (no trailing newline). Keys are emitted
   /// in a fixed order, so equal records serialize identically.
   std::string ToJson() const;
+  void WriteJson(JsonWriter& w) const;
 
-  /// Parses a line produced by ToJson (a flat JSON object). Unknown keys
-  /// are ignored — old readers keep working when fields are added.
+  /// Parses a line produced by ToJson (a JSON object). Unknown keys are
+  /// skipped whatever their value — old readers keep working when fields
+  /// are added. A known key whose value does not fit its field (a sign on
+  /// a count, a string for a bool) is an error.
   static Result<QueryLogRecord> FromJson(const std::string& line);
 
-  bool operator==(const QueryLogRecord& other) const;
-  bool operator!=(const QueryLogRecord& other) const {
-    return !(*this == other);
-  }
+  bool operator==(const QueryLogRecord& other) const = default;
 };
 
 /// Append-only JSONL sink for QueryLogRecords. Thread-safe; each Append

@@ -1,6 +1,5 @@
 #include "obs/search_trace.h"
 
-#include <cmath>
 
 #include "base/strings.h"
 
@@ -194,67 +193,47 @@ size_t SearchTracer::CountDisposition(CandidateDisposition d) const {
   return n;
 }
 
-namespace {
-
-/// Costs can legitimately be infinite (§8.2 prices unsafe subplans at
-/// +inf), but bare inf/nan are not JSON — emit those as strings.
-void WriteJsonNumber(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << '"' << (std::isnan(v) ? "nan" : v > 0 ? "inf" : "-inf") << '"';
-  }
-}
-
-}  // namespace
-
-void SearchTracer::WriteJson(std::ostream& os) const {
-  os << "{\"scopes\":[";
+void SearchTracer::WriteJson(JsonWriter& w) const {
+  // Costs can be infinite (§8.2 prices unsafe subplans at +inf); the
+  // writer spells non-finite values as strings.
+  w.BeginObject().Key("scopes").BeginArray();
   for (size_t i = 0; i < scopes_.size(); ++i) {
-    if (i) os << ',';
-    os << "{\"id\":" << i << ",\"label\":\"" << JsonEscape(scopes_[i].label)
-       << "\",\"parent\":" << scopes_[i].parent << "}";
+    w.BeginObject()
+        .Member("id", i)
+        .Member("label", scopes_[i].label)
+        .Member("parent", scopes_[i].parent)
+        .EndObject();
   }
-  os << "],\"candidates\":[";
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    const SearchCandidate& c = candidates_[i];
-    if (i) os << ',';
-    os << "{\"scope\":" << c.scope << ",\"order\":[";
+  w.EndArray().Key("candidates").BeginArray();
+  for (const SearchCandidate& c : candidates_) {
+    w.BeginObject().Member("scope", c.scope).Key("order").BeginArray();
     for (uint32_t j = 0; j < c.order_len; ++j) {
-      if (j) os << ',';
-      os << order_arena_[c.order_offset + j];
+      w.Value(order_arena_[c.order_offset + j]);
     }
-    os << "],\"cost\":";
-    WriteJsonNumber(os, c.cost);
-    os << ",\"disposition\":\"" << CandidateDispositionToString(c.disposition)
-       << "\"";
-    if (!DetailOf(c).empty()) {
-      os << ",\"detail\":\"" << JsonEscape(DetailOf(c)) << "\"";
-    }
-    os << "}";
+    w.EndArray()
+        .Member("cost", c.cost)
+        .Member("disposition", CandidateDispositionToString(c.disposition));
+    if (!DetailOf(c).empty()) w.Member("detail", DetailOf(c));
+    w.EndObject();
   }
-  os << "],\"dropped_candidates\":" << dropped_ << ",\"memo\":[";
-  for (size_t i = 0; i < memo_.size(); ++i) {
-    const MemoNodeInfo& n = memo_[i];
-    if (i) os << ',';
-    os << "{\"key\":\"" << JsonEscape(n.key) << "\",\"cost\":";
-    WriteJsonNumber(os, n.cost);
-    os << ",\"card\":";
-    WriteJsonNumber(os, n.card);
-    os << ",\"safe\":" << (n.safe ? "true" : "false")
-       << ",\"winning\":" << (n.winning ? "true" : "false");
-    if (!n.method.empty()) {
-      os << ",\"method\":\"" << JsonEscape(n.method) << "\"";
-    }
-    if (!n.note.empty()) os << ",\"note\":\"" << JsonEscape(n.note) << "\"";
-    os << ",\"children\":[";
-    for (size_t j = 0; j < n.children.size(); ++j) {
-      if (j) os << ',';
-      os << n.children[j];
-    }
-    os << "]}";
+  w.EndArray()
+      .Member("dropped_candidates", dropped_)
+      .Key("memo")
+      .BeginArray();
+  for (const MemoNodeInfo& n : memo_) {
+    w.BeginObject()
+        .Member("key", n.key)
+        .Member("cost", n.cost)
+        .Member("card", n.card)
+        .Member("safe", n.safe)
+        .Member("winning", n.winning);
+    if (!n.method.empty()) w.Member("method", n.method);
+    if (!n.note.empty()) w.Member("note", n.note);
+    w.Key("children").BeginArray();
+    for (uint32_t child : n.children) w.Value(child);
+    w.EndArray().EndObject();
   }
-  os << "]}\n";
+  w.EndArray().EndObject();
 }
 
 namespace {

@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/json.h"
+
 namespace ldl {
 
 /// What happened to one candidate subplan the optimizer's search visited.
@@ -141,7 +143,7 @@ class SearchTracer {
 
   /// One JSON object: {"scopes": [...], "candidates": [...],
   /// "dropped_candidates": N, "memo": [...]}.
-  void WriteJson(std::ostream& os) const;
+  void WriteJson(JsonWriter& w) const;
   /// Graphviz digraph of the memo lattice; winning nodes and the edges
   /// between them are highlighted.
   void WriteDot(std::ostream& os) const;

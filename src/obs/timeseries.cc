@@ -1,26 +1,8 @@
 #include "obs/timeseries.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-
 #include "base/strings.h"
 
 namespace ldl {
-
-namespace {
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
-}
-
-}  // namespace
 
 void TimeSeriesSampler::Start() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -126,29 +108,22 @@ TimeSeriesSampler::Snapshot() const {
   return out;
 }
 
-void TimeSeriesSampler::WriteJson(std::ostream& os) const {
+void TimeSeriesSampler::WriteJson(JsonWriter& w) const {
   std::lock_guard<std::mutex> lock(mu_);
-  os << "{\"period_ms\":"
-     << JsonNumber(static_cast<double>(options_.period.count()))
-     << ",\"samples\":" << samples_ << ",\"series\":{";
-  bool first = true;
+  w.BeginObject()
+      .Member("period_ms", options_.period.count())
+      .Member("samples", samples_)
+      .Key("series")
+      .BeginObject();
   for (const auto& [name, ring] : series_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":{\"t\":[";
     const std::vector<TimeSeriesPoint> points = ring.Snapshot();
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (i) os << ",";
-      os << JsonNumber(points[i].t_seconds);
-    }
-    os << "],\"v\":[";
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (i) os << ",";
-      os << JsonNumber(points[i].value);
-    }
-    os << "]}";
+    w.Key(name).BeginObject().Key("t").BeginArray();
+    for (const TimeSeriesPoint& p : points) w.Value(p.t_seconds);
+    w.EndArray().Key("v").BeginArray();
+    for (const TimeSeriesPoint& p : points) w.Value(p.value);
+    w.EndArray().EndObject();
   }
-  os << "}}";
+  w.EndObject().EndObject();
 }
 
 }  // namespace ldl

@@ -6,11 +6,11 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/json.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
 
@@ -112,7 +112,7 @@ class TimeSeriesSampler {
 
   /// {"period_ms":...,"samples":N,"series":{"name":{"t":[...],"v":[...]}}}
   /// — the sparkline payload /statusz embeds.
-  void WriteJson(std::ostream& os) const;
+  void WriteJson(JsonWriter& w) const;
 
  private:
   void Loop();

@@ -1,6 +1,6 @@
 #include "obs/trace.h"
 
-#include "base/strings.h"
+#include "base/json.h"
 
 namespace ldl {
 
@@ -12,26 +12,26 @@ uint32_t Span::CurrentThreadId() {
 
 void Tracer::WriteChromeTrace(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
   for (const TraceEvent& e : events_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":\"" << JsonEscape(e.name) << "\",\"cat\":\""
-       << JsonEscape(e.category) << "\",\"ph\":\"X\",\"ts\":" << e.start_us
-       << ",\"dur\":" << e.duration_us << ",\"pid\":1,\"tid\":" << e.thread_id;
+    w.BeginObject()
+        .Member("name", e.name)
+        .Member("cat", e.category)
+        .Member("ph", "X")
+        .Member("ts", e.start_us)
+        .Member("dur", e.duration_us)
+        .Member("pid", 1)
+        .Member("tid", e.thread_id);
     if (!e.args.empty()) {
-      os << ",\"args\":{";
-      for (size_t i = 0; i < e.args.size(); ++i) {
-        if (i) os << ",";
-        os << "\"" << JsonEscape(e.args[i].first) << "\":\""
-           << JsonEscape(e.args[i].second) << "\"";
-      }
-      os << "}";
+      w.Key("args").BeginObject();
+      for (const auto& [key, value] : e.args) w.Member(key, value);
+      w.EndObject();
     }
-    os << "}";
+    w.EndObject();
   }
-  os << "\n],\"droppedEvents\":" << dropped_events_ << "}\n";
+  w.EndArray().Member("droppedEvents", dropped_events_).EndObject();
+  os << w.str() << "\n";
 }
 
 }  // namespace ldl

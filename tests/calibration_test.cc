@@ -267,7 +267,7 @@ TEST(CalibrationTest, JsonAndTextExportsCarryAllSections) {
       *fx.program, fx.stats, options, fx.goal, *plan,
       HarvestMeasuredStatistics(**tree, interpreter.profile())));
 
-  std::ostringstream json;
+  JsonWriter json;
   report.WriteJson(json);
   const std::string j = json.str();
   for (const char* key :

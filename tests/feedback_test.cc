@@ -268,6 +268,35 @@ TEST(StatisticsCatalogTest, MergeJsonRejectsBadInputsWithoutMutating) {
   EXPECT_TRUE(catalog.Lookup(Pred("q(X)"), Adornment::AllFree(1), &entry));
 }
 
+// Malformed scalars used to be read as a prefix ("2x" as 2) or as zero;
+// valid escapes and unknown nested values used to be rejected.
+TEST(StatisticsCatalogTest, MergeJsonReadsFieldsStrictly) {
+  auto doc = [](const std::string& entry_fields) {
+    return "{\"version\":1,\"entries\":[{\"predicate\":\"p\","
+           "\"adornment\":\"f\",\"weight\":1,\"observations\":1," +
+           entry_fields + "}]}";
+  };
+  StatisticsCatalog catalog;
+  EXPECT_FALSE(catalog.MergeJson(doc("\"arity\":2x,\"card\":1")).ok());
+  EXPECT_FALSE(catalog.MergeJson(doc("\"arity\":1,\"card\":7e")).ok());
+  EXPECT_FALSE(catalog.MergeJson(doc("\"arity\":-1,\"card\":1")).ok());
+  EXPECT_FALSE(catalog.MergeJson(doc("\"arity\":1,\"card\":\"1\"")).ok());
+  EXPECT_FALSE(catalog.MergeJson("{\"version\":abc,\"entries\":[]}").ok());
+  EXPECT_FALSE(catalog.MergeJson("{\"version\":1.5,\"entries\":[]}").ok());
+  EXPECT_TRUE(catalog.empty());
+
+  ASSERT_TRUE(catalog
+                  .MergeJson("{\"version\":1,\"future\":{\"nested\":[1,{}]},"
+                             "\"entries\":[{\"predicate\":\"\\u0070\","
+                             "\"arity\":1,\"adornment\":\"f\",\"card\":7e0,"
+                             "\"weight\":1,\"observations\":1,"
+                             "\"novel\":{\"deep\":[true,null]}}]}")
+                  .ok());
+  CatalogEntry entry;
+  ASSERT_TRUE(catalog.Lookup(Pred("p(X)"), Adornment::AllFree(1), &entry));
+  EXPECT_EQ(entry.card, 7);
+}
+
 TEST(StatisticsCatalogTest, ExportToSetsGauges) {
   MetricsRegistry metrics;
   StatisticsCatalog catalog;

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <thread>
 
+#include "base/json.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/search_trace.h"
@@ -252,6 +253,25 @@ TEST(MetricsTest, WriteJsonShape) {
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
 }
 
+// --metrics-json and Prometheus spell a gauge the same exact way; the
+// JSON dump used to print 1792300000.25 as 1.7923e+09.
+TEST(MetricsTest, WriteJsonGaugeParsesBackExactly) {
+  MetricsRegistry registry;
+  registry.gauge("process.start_unix_seconds")->Set(1792300000.25);
+  registry.gauge("process.resident_bytes")->Set(93931640);
+  std::ostringstream os;
+  registry.WriteJson(os);
+  auto doc = ParseJson(os.str());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* gauges = doc->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  double start = 0, rss = 0;
+  ASSERT_TRUE(gauges->Find("process.start_unix_seconds")->Get(&start).ok());
+  ASSERT_TRUE(gauges->Find("process.resident_bytes")->Get(&rss).ok());
+  EXPECT_EQ(start, 1792300000.25);
+  EXPECT_EQ(rss, 93931640);
+}
+
 TEST(ContextTest, ActiveAndInert) {
   TraceContext inert;
   EXPECT_FALSE(inert.active());
@@ -363,7 +383,7 @@ TEST(SearchTracerTest, JsonAndDotShape) {
   uint32_t n = tracer.InternMemoNode("q.bf/2");
   tracer.SetMemoNode(n, 3.5, 2.0, true, "semi-naive", "");
   tracer.MarkWinning("q.bf/2");
-  std::ostringstream json;
+  JsonWriter json;
   tracer.WriteJson(json);
   EXPECT_NE(json.str().find("\"scopes\""), std::string::npos);
   EXPECT_NE(json.str().find("\"candidates\""), std::string::npos);

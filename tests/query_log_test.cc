@@ -85,6 +85,42 @@ TEST(QueryLogRecordTest, MalformedLinesAreRejected) {
   EXPECT_TRUE(QueryLogRecord::FromJson("{}").ok());  // all defaults
 }
 
+// Each known field reads only a value of its own type: a signed or
+// truncated count, or a bare word for a bool, is an error, not a silent
+// 2^64-1, 12 or false.
+TEST(QueryLogRecordTest, MalformedScalarsAreRejected) {
+  for (const char* line :
+       {"{\"answers\":-1}", "{\"answers\":12abc}", "{\"answers\":1.5}",
+        "{\"answers\":18446744073709551616}", "{\"answers\":\"3\"}",
+        "{\"prune\":yes}", "{\"prune\":1}", "{\"total_ms\":1e999}",
+        "{\"query\":7}"}) {
+    EXPECT_FALSE(QueryLogRecord::FromJson(line).ok()) << line;
+  }
+  auto max = QueryLogRecord::FromJson("{\"answers\":18446744073709551615}");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->answers, 18446744073709551615u);
+}
+
+TEST(QueryLogRecordTest, EscapesDecodeToUtf8) {
+  auto rec = QueryLogRecord::FromJson(
+      "{\"query\":\"\\u0141\\u00e9\\ud83d\\ude00\\u0070\"}");
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->query, "\xC5\x81\xC3\xA9\xF0\x9F\x98\x80p");
+  // Raw UTF-8 bytes pass through, and survive a round trip unchanged.
+  QueryLogRecord raw = SampleRecord();
+  raw.query = "\xC5\x81(X)";
+  auto back = QueryLogRecord::FromJson(raw.ToJson());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->query, raw.query);
+}
+
+TEST(QueryLogRecordTest, UnknownNestedValuesAreSkipped) {
+  auto rec = QueryLogRecord::FromJson(
+      "{\"x\":{\"a\":1},\"y\":[1,[2,{}]],\"z\":null,\"answers\":3}");
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->answers, 3u);
+}
+
 TEST(QueryLogRecordTest, GoldenFilePinsTheSchema) {
   const std::string path =
       std::string(LDLOPT_SOURCE_DIR) + "/tests/golden/query_log.golden.jsonl";

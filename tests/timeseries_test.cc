@@ -171,9 +171,9 @@ TEST(TimeSeriesSamplerTest, WriteJsonShape) {
   options.period = std::chrono::milliseconds(250);
   TimeSeriesSampler sampler(options);
   sampler.SampleOnce();
-  std::ostringstream os;
-  sampler.WriteJson(os);
-  const std::string json = os.str();
+  JsonWriter w;
+  sampler.WriteJson(w);
+  const std::string json = w.str();
   EXPECT_NE(json.find("\"period_ms\":250"), std::string::npos);
   EXPECT_NE(json.find("\"samples\":1"), std::string::npos);
   EXPECT_NE(json.find("\"c\":{\"t\":["), std::string::npos);

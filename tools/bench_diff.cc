@@ -42,208 +42,13 @@
 #include <utility>
 #include <vector>
 
+#include "base/json.h"
+
 namespace {
 
 namespace fs = std::filesystem;
 
-// ---------------------------------------------------------------------------
-// Minimal JSON DOM (RFC 8259 subset the bench exports use). json_check
-// validates shape without materializing; this tool needs the values.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> items;                             // kArray
-  std::vector<std::pair<std::string, JsonValue>> members;   // kObject
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out, std::string* error) {
-    if (!Value(out)) {
-      *error = error_;
-      return false;
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      *error = "trailing content after JSON value";
-      return false;
-    }
-    return true;
-  }
-
- private:
-  bool Fail(const std::string& message) {
-    if (error_.empty()) {
-      std::ostringstream os;
-      os << "offset " << pos_ << ": " << message;
-      error_ = os.str();
-    }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() && std::isspace(
-               static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Value(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{':
-        return Object(out);
-      case '[':
-        return Array(out);
-      case '"':
-        out->kind = JsonValue::Kind::kString;
-        return String(&out->str);
-      case 't':
-      case 'f':
-        out->kind = JsonValue::Kind::kBool;
-        out->boolean = text_[pos_] == 't';
-        return Word(out->boolean ? "true" : "false");
-      case 'n':
-        out->kind = JsonValue::Kind::kNull;
-        return Word("null");
-      default:
-        out->kind = JsonValue::Kind::kNumber;
-        return Number(&out->number);
-    }
-  }
-
-  bool Object(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    if (Consume('}')) return true;
-    do {
-      SkipSpace();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"' || !String(&key)) {
-        return Fail("expected string key");
-      }
-      if (!Consume(':')) return Fail("expected ':' after key");
-      JsonValue value;
-      if (!Value(&value)) return false;
-      out->members.emplace_back(std::move(key), std::move(value));
-    } while (Consume(','));
-    if (!Consume('}')) return Fail("expected ',' or '}' in object");
-    return true;
-  }
-
-  bool Array(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    if (Consume(']')) return true;
-    do {
-      JsonValue item;
-      if (!Value(&item)) return false;
-      out->items.push_back(std::move(item));
-    } while (Consume(','));
-    if (!Consume(']')) return Fail("expected ',' or ']' in array");
-    return true;
-  }
-
-  bool String(std::string* out) {
-    ++pos_;  // '"'
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("dangling escape");
-        char e = text_[pos_];
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            // Label cells never need non-BMP fidelity; keep a placeholder.
-            for (int i = 0; i < 4; ++i) {
-              ++pos_;
-              if (pos_ >= text_.size() || !std::isxdigit(
-                      static_cast<unsigned char>(text_[pos_]))) {
-                return Fail("invalid \\u escape");
-              }
-            }
-            out->push_back('?');
-            break;
-          }
-          default:
-            return Fail("invalid escape character");
-        }
-        ++pos_;
-        continue;
-      }
-      out->push_back(c);
-      ++pos_;
-    }
-    return Fail("unterminated string");
-  }
-
-  bool Word(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        return Fail(std::string("invalid literal, expected ") + word);
-      }
-    }
-    return true;
-  }
-
-  bool Number(double* out) {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("invalid value");
-    try {
-      *out = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("unparseable number");
-    }
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
+using ldl::JsonValue;
 
 // ---------------------------------------------------------------------------
 // Comparison.
@@ -319,20 +124,17 @@ std::vector<FlatTable> ExtractTables(const JsonValue& root) {
     for (size_t t = 0; t < exp_tables->items.size(); ++t) {
       const JsonValue& table = exp_tables->items[t];
       FlatTable flat;
-      flat.id = (id != nullptr ? id->str : "") + "/" + std::to_string(t);
+      flat.id = (id != nullptr ? id->text : "") + "/" + std::to_string(t);
       const JsonValue* headers = table.Find("headers");
       const JsonValue* rows = table.Find("rows");
       if (headers != nullptr) {
-        for (const JsonValue& h : headers->items) flat.headers.push_back(h.str);
+        for (const JsonValue& h : headers->items) flat.headers.push_back(h.text);
       }
       if (rows != nullptr) {
         for (const JsonValue& row : rows->items) {
           std::vector<std::string> cells;
-          for (const JsonValue& cell : row.items) {
-            cells.push_back(cell.kind == JsonValue::Kind::kNumber
-                                ? std::to_string(cell.number)
-                                : cell.str);
-          }
+          // A number cell keeps its source text, like a string cell.
+          for (const JsonValue& cell : row.items) cells.push_back(cell.text);
           flat.rows.push_back(std::move(cells));
         }
       }
@@ -351,9 +153,9 @@ std::string HostSummary(const JsonValue& root) {
   const JsonValue* nproc = host->Find("nproc");
   const JsonValue* cpu = host->Find("cpu");
   const JsonValue* build = host->Find("build_type");
-  os << "nproc=" << (nproc != nullptr ? nproc->number : 0)
-     << " cpu=\"" << (cpu != nullptr ? cpu->str : "") << "\" build="
-     << (build != nullptr ? build->str : "");
+  os << "nproc=" << (nproc != nullptr ? nproc->text : "0")
+     << " cpu=\"" << (cpu != nullptr ? cpu->text : "") << "\" build="
+     << (build != nullptr ? build->text : "");
   return os.str();
 }
 
@@ -533,20 +335,18 @@ int main(int argc, char** argv) {
       std::cerr << "bench_diff: cannot read " << cur_path << "\n";
       return 2;
     }
-    JsonValue baseline, current;
-    std::string error;
-    if (!JsonParser(base_text).Parse(&baseline, &error)) {
-      std::cerr << "bench_diff: " << base_path.string() << ": " << error
-                << "\n";
-      return 2;
+    const auto baseline = ldl::ParseJson(base_text);
+    const auto current = ldl::ParseJson(cur_text);
+    for (const auto* parsed : {&baseline, &current}) {
+      if (!parsed->ok()) {
+        std::cerr << "bench_diff: "
+                  << (parsed == &baseline ? base_path : cur_path).string()
+                  << ": " << parsed->status().message() << "\n";
+        return 2;
+      }
     }
-    if (!JsonParser(cur_text).Parse(&current, &error)) {
-      std::cerr << "bench_diff: " << cur_path.string() << ": " << error
-                << "\n";
-      return 2;
-    }
-    WarnOnHostMismatch(name, baseline, current);
-    regressions += DiffFile(name, baseline, current, options, &checked);
+    WarnOnHostMismatch(name, *baseline, *current);
+    regressions += DiffFile(name, *baseline, *current, options, &checked);
   }
 
   std::printf("bench_diff: %zu time cells and %zu work cells checked, %zu "

@@ -2,12 +2,10 @@
 //
 // Usage: json_check [--jsonl | --prom] file [file ...]
 //
-// Default mode is a minimal recursive-descent JSON checker (RFC 8259
-// grammar: objects, arrays, strings with escapes, numbers,
-// true/false/null). It validates shape only — no values are materialized —
-// so CI can assert that the JSON the observability tools emit (Chrome
-// traces, metrics dumps, bench results) will load anywhere, without
-// pulling in a JSON library.
+// Default mode parses each file with the library's strict RFC 8259 reader
+// (base/json.h), so CI can assert that the JSON the observability tools
+// emit (Chrome traces, metrics dumps, bench results) will load anywhere.
+// Nesting deeper than kJsonMaxDepth is rejected.
 //
 // With --jsonl, each input is JSON Lines (one JSON value per non-empty
 // line — the query-log format); every line is validated independently and
@@ -27,198 +25,9 @@
 #include <sstream>
 #include <string>
 
+#include "base/json.h"
+
 namespace {
-
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  /// True if the whole input is exactly one JSON value (plus whitespace).
-  bool Check(std::string* error) {
-    if (!Value()) {
-      *error = error_;
-      return false;
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      *error = Where("trailing content after JSON value");
-      return false;
-    }
-    return true;
-  }
-
- private:
-  bool Fail(const std::string& message) {
-    if (error_.empty()) error_ = Where(message);
-    return false;
-  }
-
-  std::string Where(const std::string& message) {
-    size_t line = 1, col = 1;
-    for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-    }
-    std::ostringstream os;
-    os << "line " << line << " col " << col << ": " << message;
-    return os.str();
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Value() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    if (Consume('}')) return true;
-    do {
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Fail("expected string key");
-      }
-      if (!String()) return false;
-      if (!Consume(':')) return Fail("expected ':' after key");
-      if (!Value()) return false;
-    } while (Consume(','));
-    if (!Consume('}')) return Fail("expected ',' or '}' in object");
-    return true;
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    if (Consume(']')) return true;
-    do {
-      if (!Value()) return false;
-    } while (Consume(','));
-    if (!Consume(']')) return Fail("expected ',' or ']' in array");
-    return true;
-  }
-
-  bool String() {
-    ++pos_;  // '"'
-    while (pos_ < text_.size()) {
-      unsigned char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c < 0x20) return Fail("unescaped control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return Fail("dangling escape");
-        char e = text_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() || !std::isxdigit(
-                    static_cast<unsigned char>(text_[pos_]))) {
-              return Fail("invalid \\u escape");
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return Fail("invalid escape character");
-        }
-      }
-      ++pos_;
-    }
-    return Fail("unterminated string");
-  }
-
-  bool Literal(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        return Fail(std::string("invalid literal, expected ") + word);
-      }
-    }
-    return true;
-  }
-
-  bool Number() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return Fail("invalid value");
-    }
-    if (text_[pos_] == '0') {
-      ++pos_;  // no leading zeros
-    } else {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Fail("digit expected after decimal point");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        return Fail("digit expected in exponent");
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    return pos_ > start;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
 
 // --- Prometheus text exposition (v0.0.4) ---
 
@@ -436,10 +245,10 @@ int main(int argc, char** argv) {
       while (std::getline(in, line)) {
         ++lineno;
         if (line.empty()) continue;
-        std::string error;
-        if (!JsonChecker(line).Check(&error)) {
+        const auto parsed = ldl::ParseJson(line);
+        if (!parsed.ok()) {
           std::cerr << argv[i] << ": line " << lineno << ": invalid JSON: "
-                    << error << "\n";
+                    << parsed.status().message() << "\n";
           bad = true;
         } else {
           ++values;
@@ -454,10 +263,10 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    std::string error;
-    if (!JsonChecker(text).Check(&error)) {
-      std::cerr << argv[i] << ": invalid JSON: " << error << "\n";
+    const auto parsed = ldl::ParseJson(buffer.str());
+    if (!parsed.ok()) {
+      std::cerr << argv[i] << ": invalid JSON: " << parsed.status().message()
+                << "\n";
       ++failures;
     } else {
       std::cout << argv[i] << ": ok\n";

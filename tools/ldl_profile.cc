@@ -75,6 +75,7 @@
 #include <string>
 #include <vector>
 
+#include "base/json.h"
 #include "base/strings.h"
 #include "ldl/ldl.h"
 #include "net/stats_server.h"
@@ -341,8 +342,10 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   std::vector<ldl::CalibrationReport> reports;
-  std::vector<std::string> search_entries;  // one JSON object per goal
-  std::vector<std::string> fixpoint_entries;
+  // JSON arrays with one entry per goal.
+  ldl::JsonWriter search_entries, fixpoint_entries;
+  search_entries.BeginArray();
+  fixpoint_entries.BeginArray();
   std::string dot;
   const bool execute_queries = !cli.fixpoint_json.empty() ||
                                !cli.query_log.empty() ||
@@ -377,15 +380,14 @@ int main(int argc, char** argv) {
                     << " cancel checks\n";
         }
         if (!cli.fixpoint_json.empty()) {
-          std::ostringstream entry;
-          entry << "{\"goal\": \"" << ldl::JsonEscape(goal)
-                << "\", \"method\": \""
-                << ldl::RecursionMethodToString(answer->plan.top_method)
-                << "\", \"iterations\": "
-                << answer->exec_stats.iterations << ", \"rounds\": ";
-          answer->exec_stats.WriteIterationsJson(entry);
-          entry << "}";
-          fixpoint_entries.push_back(entry.str());
+          fixpoint_entries.BeginObject()
+              .Member("goal", goal)
+              .Member("method",
+                      ldl::RecursionMethodToString(answer->plan.top_method))
+              .Member("iterations", answer->exec_stats.iterations);
+          answer->exec_stats.WriteIterationsJson(
+              fixpoint_entries.Key("rounds"));
+          fixpoint_entries.EndObject();
         }
       }
     }
@@ -404,11 +406,9 @@ int main(int argc, char** argv) {
     }
     std::cout << *plan << "\n";
     if (!cli.search_json.empty()) {
-      std::ostringstream entry;
-      entry << "{\"goal\": \"" << ldl::JsonEscape(goal) << "\", \"search\": ";
-      search_tracer.WriteJson(entry);
-      entry << "}";
-      search_entries.push_back(entry.str());
+      search_entries.BeginObject().Member("goal", goal);
+      search_tracer.WriteJson(search_entries.Key("search"));
+      search_entries.EndObject();
     }
     if (!cli.dot_file.empty() && dot.empty()) {
       std::ostringstream d;
@@ -472,12 +472,11 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    out << '[';
-    for (size_t i = 0; i < reports.size(); ++i) {
-      if (i) out << ',';
-      reports[i].WriteJson(out);
-    }
-    out << "]\n";
+    ldl::JsonWriter w;
+    w.BeginArray();
+    for (const ldl::CalibrationReport& report : reports) report.WriteJson(w);
+    w.EndArray();
+    out << w.str() << "\n";
   }
 
   if (!cli.search_json.empty()) {
@@ -486,12 +485,7 @@ int main(int argc, char** argv) {
       std::cerr << "ldl_profile: cannot write " << cli.search_json << "\n";
       return 1;
     }
-    out << '[';
-    for (size_t i = 0; i < search_entries.size(); ++i) {
-      if (i) out << ',';
-      out << '\n' << search_entries[i];
-    }
-    out << "]\n";
+    out << search_entries.EndArray().str() << "\n";
   }
   if (!cli.fixpoint_json.empty()) {
     std::ofstream out(cli.fixpoint_json);
@@ -499,12 +493,7 @@ int main(int argc, char** argv) {
       std::cerr << "ldl_profile: cannot write " << cli.fixpoint_json << "\n";
       return 1;
     }
-    out << '[';
-    for (size_t i = 0; i < fixpoint_entries.size(); ++i) {
-      if (i) out << ',';
-      out << '\n' << fixpoint_entries[i];
-    }
-    out << "]\n";
+    out << fixpoint_entries.EndArray().str() << "\n";
   }
   if (!cli.dot_file.empty()) {
     std::ofstream out(cli.dot_file);
