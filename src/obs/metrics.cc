@@ -230,14 +230,17 @@ std::string MetricsRegistry::ToString() const {
     os << name << " = " << c->value() << "\n";
   }
   for (const auto& [name, g] : gauges_) {
-    os << name << " = " << g->value() << "\n";
+    os << name << " = " << FormatExactDouble(g->value()) << "\n";
   }
   for (const auto& [name, h] : histograms_) {
-    os << name << " = {count=" << h->count() << " sum=" << h->sum()
-       << " min=" << h->min() << " max=" << h->max()
-       << " mean=" << h->mean() << " p50=" << h->percentile(0.50)
-       << " p95=" << h->percentile(0.95) << " p99=" << h->percentile(0.99)
-       << "}\n";
+    os << name << " = {count=" << h->count()
+       << " sum=" << FormatExactDouble(h->sum())
+       << " min=" << FormatExactDouble(h->min())
+       << " max=" << FormatExactDouble(h->max())
+       << " mean=" << FormatExactDouble(h->mean())
+       << " p50=" << FormatExactDouble(h->percentile(0.50))
+       << " p95=" << FormatExactDouble(h->percentile(0.95))
+       << " p99=" << FormatExactDouble(h->percentile(0.99)) << "}\n";
   }
   return os.str();
 }

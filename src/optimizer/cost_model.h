@@ -1,9 +1,9 @@
 #ifndef LDLOPT_OPTIMIZER_COST_MODEL_H_
 #define LDLOPT_OPTIMIZER_COST_MODEL_H_
 
+#include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -144,24 +144,91 @@ class MeasuredStatistics {
   std::unordered_map<AdornedPredicate, double, AdornedPredicateHash> cards_;
 };
 
-/// Running state of a left-to-right walk over a conjunct order.
-struct StepState {
-  double cost = 0;
-  double card = 1;  ///< current number of intermediate bindings
-  BoundVars bound;
-  /// Estimated number of distinct values each bound variable ranges over
-  /// (min of the distinct counts of the columns that produced it); drives
-  /// the symmetric 1/max(d1, d2) join selectivity.
-  std::map<std::string, double> domains;
-  bool safe = true;
-  size_t steps = 0;
-};
+/// A conjunct compiled once per search for cheap costing: every variable
+/// gets a dense id (in order of first occurrence), a set of variables is a
+/// bit mask of ceil(#vars / 64) words (no width cap), and each item carries
+/// its per-argument variable masks, the id of the plain variable in each
+/// argument position, and its precomputed divisor and domain columns. The
+/// search strategies walk this form instead of name-keyed sets and maps;
+/// derived items still estimate through their `estimate` callback, with an
+/// Adornment built from the mask.
+class CompiledConjunct {
+ public:
+  /// Compiles `items` (which must outlive this object) under the variables
+  /// bound by `initial`.
+  CompiledConjunct(const std::vector<ConjunctItem>& items,
+                   const BoundVars& initial);
 
-/// Folds `item`'s per-column distinct counts into the variable-domain map
-/// (min per variable). Order-independent; used by ApplyStep and by the DP
-/// strategy when it reconstructs per-subset states.
-void AbsorbDomains(const ConjunctItem& item,
-                   std::map<std::string, double>* domains);
+  /// The bindings of a walk: the bound-variable mask, and per variable id
+  /// the estimated number of distinct values it ranges over (min of the
+  /// distinct counts of the columns that produced it; 0 = no domain yet,
+  /// since every column's count is at least 1). Drives the symmetric
+  /// 1/max(d1, d2) join selectivity.
+  struct Bindings {
+    std::vector<uint64_t> bound;
+    std::vector<double> domains;
+  };
+
+  /// Running cost of a walk.
+  struct Progress {
+    double cost = 0;
+    double card = 1;  ///< current number of intermediate bindings
+    bool safe = true;
+  };
+
+  /// The initial bindings: `initial`'s variables bound, no domains.
+  Bindings Initial() const;
+
+  /// Adornment of item `i` under `bound`: argument j is bound iff all its
+  /// variables are (constants always are).
+  Adornment Adorn(size_t i, const std::vector<uint64_t>& bound) const;
+  /// True iff item `i` (a builtin or a negated literal) is computable
+  /// under `bound`.
+  bool Computable(size_t i, const std::vector<uint64_t>& bound) const;
+
+  /// Folds item `i`'s effect into the bindings: Absorb, then Propagate.
+  void Bind(size_t i, Bindings* b) const;
+  /// Folds a relation item's column counts into the domains (min per
+  /// variable); builtins and negated literals change nothing.
+  void Absorb(size_t i, std::vector<double>* domains) const;
+  /// PropagateBindings on the mask: a relation binds all its variables; an
+  /// `=` binds its left side if its right side is bound, then its right
+  /// side if its left side is bound; nothing else binds.
+  void Propagate(size_t i, std::vector<uint64_t>* bound) const;
+
+ private:
+  friend class CostModel;
+
+  enum class Kind : uint8_t { kBuiltin, kNegated, kCatalog, kDerived };
+
+  /// One argument position of a relation item.
+  struct Column {
+    int32_t var = -1;     ///< id of a plain-variable argument, else -1
+    double divisor = 1;   ///< max(1, distinct) or the cardinality
+    double domain = 1;    ///< max(1, distinct or cardinality)
+  };
+
+  struct Item {
+    const ConjunctItem* source = nullptr;
+    Kind kind = Kind::kCatalog;
+    BuiltinKind builtin = BuiltinKind::kNone;
+    bool eq_binds = false;  ///< a positive `=`, which propagates bindings
+    uint32_t arity = 0;
+    size_t args = 0;  ///< offset of arity masks in masks_
+    size_t vars = 0;  ///< offset of the union of the argument masks
+    size_t cols = 0;  ///< offset of arity columns in columns_
+  };
+
+  bool Subset(size_t offset, const std::vector<uint64_t>& bound) const;
+  void Union(size_t offset, std::vector<uint64_t>* bound) const;
+
+  size_t words_ = 1;
+  size_t num_vars_ = 0;
+  std::vector<Item> items_;
+  std::vector<uint64_t> masks_;
+  std::vector<Column> columns_;
+  std::vector<uint64_t> initial_;
+};
 
 /// Result of costing one complete order.
 struct SequenceCost {
@@ -181,15 +248,20 @@ class CostModel {
 
   const CostModelOptions& options() const { return options_; }
 
-  /// Applies one item to the running state: checks effective computability
-  /// (builtins/negation), adds the method-minimal step cost, updates the
-  /// intermediate cardinality and the bound variables. On an EC violation
-  /// the state becomes unsafe with infinite cost — the paper's
-  /// prune-by-infinity treatment of unsafe permutations (section 8.2).
-  void ApplyStep(const ConjunctItem& item, StepState* state) const;
+  /// Charges item `i` of `conj` to `progress` under `bindings` (which it
+  /// does not change; CompiledConjunct::Bind does): checks effective
+  /// computability (builtins/negation), adds the method-minimal step cost
+  /// and updates the intermediate cardinality. On an EC violation the walk
+  /// becomes unsafe with infinite cost — the paper's prune-by-infinity
+  /// treatment of unsafe permutations (section 8.2).
+  void Charge(const CompiledConjunct& conj, size_t i,
+              const CompiledConjunct::Bindings& bindings,
+              CompiledConjunct::Progress* progress) const;
 
-  /// Folds ApplyStep over `order`. `initial` carries the head variables
-  /// bound by the caller's adornment.
+  /// Charges and binds every item of `order` in turn.
+  SequenceCost CostSequence(const CompiledConjunct& conj,
+                            const std::vector<size_t>& order) const;
+  /// Compiles `items` under `initial` and costs `order`.
   SequenceCost CostSequence(const std::vector<ConjunctItem>& items,
                             const std::vector<size_t>& order,
                             const BoundVars& initial) const;

@@ -88,58 +88,70 @@ class ExhaustiveStrategy : public JoinOrderStrategy {
       auto dp = MakeStrategy(SearchStrategy::kDynamicProgramming, options_);
       return dp->FindOrder(items, initial, model, trace);
     }
-    std::vector<size_t> remaining = IdentityOrder(items.size());
-    std::vector<size_t> prefix;
-    StepState state;
-    state.bound = initial;
-    Recurse(items, model, Active(trace), &remaining, &prefix, state, &result);
+    const CompiledConjunct conj(items, initial);
+    Search search{conj, model, Active(trace), IdentityOrder(items.size()),
+                  {}, std::vector<CompiledConjunct::Bindings>(
+                          items.size() + 1, conj.Initial()),
+                  &result};
+    search.Recurse(0, CompiledConjunct::Progress{});
     return result;
   }
 
  private:
-  void Recurse(const std::vector<ConjunctItem>& items, const CostModel& model,
-               SearchTracer* trace, std::vector<size_t>* remaining,
-               std::vector<size_t>* prefix, const StepState& state,
-               OrderResult* result) {
-    if (remaining->empty()) {
-      double total =
-          state.cost + state.card * model.options().output_cost;
-      result->cost_evaluations++;
-      const bool improved = total < result->cost;
-      if (trace != nullptr) {
-        trace->RecordCandidate(*prefix, total,
-                               improved ? CandidateDisposition::kKept
-                                        : CandidateDisposition::kDominated);
-      }
-      if (improved) {
-        result->cost = total;
-        result->out_card = state.card;
-        result->order = *prefix;
-        result->safe = true;
-      }
-      return;
-    }
-    for (size_t i = 0; i < remaining->size(); ++i) {
-      size_t item = (*remaining)[i];
-      StepState next = state;
-      model.ApplyStep(items[item], &next);
-      result->cost_evaluations++;
-      if (!next.safe || next.cost >= result->cost) {  // prune this prefix
+  /// One search's state; `bindings[d]` holds the bindings after the
+  /// d-item prefix, so a step copies them only when it is kept.
+  struct Search {
+    const CompiledConjunct& conj;
+    const CostModel& model;
+    SearchTracer* trace;
+    std::vector<size_t> remaining;
+    std::vector<size_t> prefix;
+    std::vector<CompiledConjunct::Bindings> bindings;
+    OrderResult* result;
+
+    void Recurse(size_t depth, const CompiledConjunct::Progress& progress) {
+      if (remaining.empty()) {
+        double total =
+            progress.cost + progress.card * model.options().output_cost;
+        result->cost_evaluations++;
+        const bool improved = total < result->cost;
         if (trace != nullptr) {
-          trace->RecordCandidateStep(
-              *prefix, item, next.cost,
-              next.safe ? CandidateDisposition::kPrunedBound
-                        : CandidateDisposition::kPrunedUnsafe);
+          trace->RecordCandidate(prefix, total,
+                                 improved ? CandidateDisposition::kKept
+                                          : CandidateDisposition::kDominated);
         }
-        continue;
+        if (improved) {
+          result->cost = total;
+          result->out_card = progress.card;
+          result->order = prefix;
+          result->safe = true;
+        }
+        return;
       }
-      remaining->erase(remaining->begin() + i);
-      prefix->push_back(item);
-      Recurse(items, model, trace, remaining, prefix, next, result);
-      prefix->pop_back();
-      remaining->insert(remaining->begin() + i, item);
+      for (size_t i = 0; i < remaining.size(); ++i) {
+        size_t item = remaining[i];
+        CompiledConjunct::Progress next = progress;
+        model.Charge(conj, item, bindings[depth], &next);
+        result->cost_evaluations++;
+        if (!next.safe || next.cost >= result->cost) {  // prune this prefix
+          if (trace != nullptr) {
+            trace->RecordCandidateStep(
+                prefix, item, next.cost,
+                next.safe ? CandidateDisposition::kPrunedBound
+                          : CandidateDisposition::kPrunedUnsafe);
+          }
+          continue;
+        }
+        bindings[depth + 1] = bindings[depth];
+        conj.Bind(item, &bindings[depth + 1]);
+        remaining.erase(remaining.begin() + i);
+        prefix.push_back(item);
+        Recurse(depth + 1, next);
+        prefix.pop_back();
+        remaining.insert(remaining.begin() + i, item);
+      }
     }
-  }
+  };
 
   StrategyOptions options_;
 };
@@ -172,27 +184,10 @@ class DpStrategy : public JoinOrderStrategy {
       bool reached = false;
     };
     std::vector<Entry> table(size_t{1} << n);
-    // Recompute bound vars per subset on demand (n is small).
-    auto bound_for = [&](uint32_t mask) {
-      // The bound-variable set of a subset is order-independent, but eq
-      // builtins propagate only once a side is bound — iterate to fixpoint.
-      BoundVars bound = initial;
-      size_t prev_size = SIZE_MAX;
-      while (bound.size() != prev_size) {
-        prev_size = bound.size();
-        for (size_t i = 0; i < n; ++i) {
-          if (mask & (1u << i)) PropagateBindings(items[i].literal, &bound);
-        }
-      }
-      return bound;
-    };
-    auto domains_for = [&](uint32_t mask) {
-      std::map<std::string, double> domains;
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) AbsorbDomains(items[i], &domains);
-      }
-      return domains;
-    };
+    const CompiledConjunct conj(items, initial);
+    const CompiledConjunct::Bindings start = conj.Initial();
+    CompiledConjunct::Bindings at = start;
+    std::vector<uint64_t> before;
     table[0].cost = 0;
     table[0].card = 1;
     table[0].reached = true;
@@ -209,28 +204,36 @@ class DpStrategy : public JoinOrderStrategy {
     size_t evals = 0;
     for (uint32_t mask = 0; mask < table.size(); ++mask) {
       if (!table[mask].reached || table[mask].cost >= kInfiniteCost) continue;
-      BoundVars bound = bound_for(mask);
-      std::map<std::string, double> domains = domains_for(mask);
+      // The bindings of a subset are order-independent, but an `=`
+      // propagates only once a side is bound: iterate to the fixpoint.
+      at.bound = start.bound;
+      do {
+        before = at.bound;
+        for (size_t i = 0; i < n; ++i) {
+          if (mask & (1u << i)) conj.Propagate(i, &at.bound);
+        }
+      } while (at.bound != before);
+      std::fill(at.domains.begin(), at.domains.end(), 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        if (mask & (1u << i)) conj.Absorb(i, &at.domains);
+      }
       for (size_t i = 0; i < n; ++i) {
         if (mask & (1u << i)) continue;
-        StepState state;
-        state.cost = table[mask].cost;
-        state.card = table[mask].card;
-        state.bound = bound;
-        state.domains = domains;
-        model.ApplyStep(items[i], &state);
+        CompiledConjunct::Progress step{table[mask].cost, table[mask].card,
+                                        true};
+        model.Charge(conj, i, at, &step);
         ++evals;
         uint32_t next = mask | (1u << i);
-        const bool improved = state.safe && state.cost < table[next].cost;
+        const bool improved = step.safe && step.cost < table[next].cost;
         if (st != nullptr) {
           st->RecordCandidateStep(
-              chain_of(mask), i, state.cost,
-              !state.safe ? CandidateDisposition::kPrunedUnsafe
-              : improved  ? CandidateDisposition::kKept
-                          : CandidateDisposition::kDominated);
+              chain_of(mask), i, step.cost,
+              !step.safe ? CandidateDisposition::kPrunedUnsafe
+              : improved ? CandidateDisposition::kKept
+                         : CandidateDisposition::kDominated);
         }
         if (!improved) continue;
-        table[next] = {state.cost, state.card, static_cast<int>(i), mask,
+        table[next] = {step.cost, step.card, static_cast<int>(i), mask,
                        true};
       }
     }
@@ -278,9 +281,10 @@ class AnnealingStrategy : public JoinOrderStrategy {
     Rng rng(options_.anneal_seed + n * 7919);
     std::vector<size_t> current = IdentityOrder(n);
     size_t evals = 0;
+    const CompiledConjunct conj(items, initial);
     auto cost_of = [&](const std::vector<size_t>& order) {
       ++evals;
-      return model.CostSequence(items, order, initial);
+      return model.CostSequence(conj, order);
     };
     SequenceCost cur_cost = cost_of(current);
     // If the textual order is unsafe, scan for a safe starting point.

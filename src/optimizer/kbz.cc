@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/builtins.h"
 #include "obs/search_trace.h"
 
 namespace ldl {
@@ -67,6 +66,7 @@ class KbzStrategy : public JoinOrderStrategy {
     OrderResult best;
     SearchTracer* st =
         (trace != nullptr && trace->enabled()) ? trace : nullptr;
+    const CompiledConjunct conj(items, initial);
 
     // Partition: relations participate in the query graph; builtins and
     // negated literals are re-inserted greedily later.
@@ -82,9 +82,8 @@ class KbzStrategy : public JoinOrderStrategy {
     const size_t n = rel_idx.size();
     if (n == 0) {
       // Pure builtin conjunct: greedy insertion only.
-      std::vector<size_t> order = GreedyComplete({}, other_idx, items,
-                                                 initial);
-      SequenceCost sc = model.CostSequence(items, order, initial);
+      std::vector<size_t> order = GreedyComplete({}, other_idx, conj);
+      SequenceCost sc = model.CostSequence(conj, order);
       if (st != nullptr) {
         st->RecordCandidate(order, sc.cost,
                             sc.safe ? CandidateDisposition::kKept
@@ -102,11 +101,14 @@ class KbzStrategy : public JoinOrderStrategy {
     // Effective cardinalities under the initial bindings (bound arguments
     // act as selections).
     std::vector<double> card(n);
+    const std::vector<uint64_t> initial_bound = conj.Initial().bound;
     for (size_t a = 0; a < n; ++a) {
       const ConjunctItem& item = items[rel_idx[a]];
-      Adornment adn = AdornLiteral(item.literal, initial);
-      card[a] =
-          std::max(item.estimate ? item.estimate(adn, 1.0).card : 1.0, 1e-9);
+      card[a] = std::max(
+          item.estimate
+              ? item.estimate(conj.Adorn(rel_idx[a], initial_bound), 1.0).card
+              : 1.0,
+          1e-9);
     }
 
     // Pairwise selectivities from shared variables.
@@ -178,9 +180,8 @@ class KbzStrategy : public JoinOrderStrategy {
       std::vector<size_t> mapped;
       mapped.reserve(n);
       for (size_t a : tree_order) mapped.push_back(rel_idx[a]);
-      std::vector<size_t> order =
-          GreedyComplete(mapped, other_idx, items, initial);
-      SequenceCost sc = model.CostSequence(items, order, initial);
+      std::vector<size_t> order = GreedyComplete(mapped, other_idx, conj);
+      SequenceCost sc = model.CostSequence(conj, order);
       ++evals;
       const bool improved = sc.safe && sc.cost < best.cost;
       if (st != nullptr) {
@@ -273,30 +274,17 @@ class KbzStrategy : public JoinOrderStrategy {
   // relation order at the earliest position where they are computable.
   std::vector<size_t> GreedyComplete(const std::vector<size_t>& rel_order,
                                      std::vector<size_t> pending,
-                                     const std::vector<ConjunctItem>& items,
-                                     const BoundVars& initial) {
+                                     const CompiledConjunct& conj) {
     std::vector<size_t> order;
-    BoundVars bound = initial;
+    std::vector<uint64_t> bound = conj.Initial().bound;
     auto flush = [&]() {
       bool progress = true;
       while (progress) {
         progress = false;
         for (size_t k = 0; k < pending.size(); ++k) {
-          const Literal& lit = items[pending[k]].literal;
-          bool ready;
-          if (lit.IsBuiltin()) {
-            ready = BuiltinComputable(lit,
-                                      bound.IsTermBound(lit.args()[0]),
-                                      bound.IsTermBound(lit.args()[1]));
-          } else {  // negated literal: needs all arguments bound
-            ready = true;
-            for (const Term& a : lit.args()) {
-              ready = ready && bound.IsTermBound(a);
-            }
-          }
-          if (ready) {
+          if (conj.Computable(pending[k], bound)) {
             order.push_back(pending[k]);
-            PropagateBindings(lit, &bound);
+            conj.Propagate(pending[k], &bound);
             pending.erase(pending.begin() + k);
             progress = true;
             break;
@@ -307,7 +295,7 @@ class KbzStrategy : public JoinOrderStrategy {
     flush();
     for (size_t idx : rel_order) {
       order.push_back(idx);
-      PropagateBindings(items[idx].literal, &bound);
+      conj.Propagate(idx, &bound);
       flush();
     }
     // Anything still pending is not computable in any completion of this

@@ -161,7 +161,7 @@ ConjunctItem Optimizer::MakeItem(const Literal& lit, Subplan* parent) {
   if (lit.IsBuiltin()) {
     ConjunctItem item;
     item.literal = lit;
-    return item;  // ApplyStep computes builtins without an estimate
+    return item;  // the cost model charges builtins without an estimate
   }
   if (!program_.IsDerived(lit.predicate())) {
     ConjunctItem item = MakeBaseItem(lit, stats_, options_.cost);
@@ -187,36 +187,35 @@ ConjunctItem Optimizer::MakeItem(const Literal& lit, Subplan* parent) {
   item.literal = lit;
   // KBZ graph parameters from the all-free subplan.
   {
-    Subplan full = OptimizePredicate({pred, Adornment::AllFree(pred.arity)});
-    item.base_cardinality = std::max(1.0, full.est.card);
-    item.distinct.assign(pred.arity,
-                         std::max(1.0, std::pow(full.est.card, 0.8)));
+    const PlanEstimate full =
+        EstimatePredicate({pred, Adornment::AllFree(pred.arity)});
+    item.base_cardinality = std::max(1.0, full.card);
+    item.distinct.assign(pred.arity, std::max(1.0, std::pow(full.card, 0.8)));
   }
   item.estimate = [this, pred, consider_mat, free_reachable, cost](
                       const Adornment& adn, double outer_card) {
-    Subplan pipelined = OptimizePredicate({pred, adn});
-    PlanEstimate best = pipelined.est;
+    const PlanEstimate pipelined = EstimatePredicate({pred, adn});
+    PlanEstimate best = pipelined;
     // The materialized alternative computes the child's FULL extension;
     // when the free adornment is statically unreachable its subplan is a
     // costless placeholder that must not be allowed to win (it would drive
     // an un-analyzed — possibly unsafe — free fixpoint at execution).
     if (consider_mat && free_reachable && adn.BoundCount() > 0) {
-      Subplan full =
-          OptimizePredicate({pred, Adornment::AllFree(pred.arity)});
-      if (full.est.safe) {
+      const PlanEstimate full =
+          EstimatePredicate({pred, Adornment::AllFree(pred.arity)});
+      if (full.safe) {
         PlanEstimate mat;
-        mat.setup = full.est.setup + full.est.per_binding +
-                    full.est.card * cost.materialize_cost;
+        mat.setup =
+            full.setup + full.per_binding + full.card * cost.materialize_cost;
         mat.per_binding = cost.index_probe_cost +
-                          std::max(pipelined.est.card, 0.0) * cost.tuple_cost;
-        mat.card = pipelined.est.safe ? pipelined.est.card
-                                      : full.est.card;  // fallback estimate
+                          std::max(pipelined.card, 0.0) * cost.tuple_cost;
+        mat.card = pipelined.safe ? pipelined.card
+                                  : full.card;  // fallback estimate
         mat.safe = true;
         double outer = std::max(outer_card, 1.0);
         double pipe_total =
-            pipelined.est.safe
-                ? pipelined.est.setup + outer * pipelined.est.per_binding
-                : kInfiniteCost;
+            pipelined.safe ? pipelined.setup + outer * pipelined.per_binding
+                           : kInfiniteCost;
         double mat_total = mat.setup + outer * mat.per_binding;
         if (mat_total < pipe_total) best = mat;
       }
@@ -227,10 +226,21 @@ ConjunctItem Optimizer::MakeItem(const Literal& lit, Subplan* parent) {
 }
 
 Optimizer::Subplan Optimizer::OptimizePredicate(const AdornedPredicate& ap) {
+  Subplan scratch;
+  return FindOrOptimize(ap, &scratch);
+}
+
+PlanEstimate Optimizer::EstimatePredicate(const AdornedPredicate& ap) {
+  Subplan scratch;
+  return FindOrOptimize(ap, &scratch).est;
+}
+
+const Optimizer::Subplan& Optimizer::FindOrOptimize(const AdornedPredicate& ap,
+                                                    Subplan* scratch) {
   // Cooperative abort: every subplan optimization is a check-point, so a
   // deadline or budget violation stops the search within one subplan's
   // worth of work instead of finishing an exponential enumeration.
-  if (Aborted()) return AbortedSubplan();
+  if (Aborted()) return *scratch = AbortedSubplan();
   // Static pruning (analysis/analyzer.h): adornments outside the query's
   // reachable closure are answered with a placeholder instead of being
   // optimized — and deliberately NOT memoized, so the memo lattice (and
@@ -241,7 +251,7 @@ Optimizer::Subplan Optimizer::OptimizePredicate(const AdornedPredicate& ap) {
       st->RecordCandidate({}, 0.0, CandidateDisposition::kPrunedUnreachable,
                           ap.ToString());
     }
-    return PrunedSubplan(ap);
+    return *scratch = PrunedSubplan(ap);
   }
   if (options_.memoize) {
     auto it = memo_.find(ap);
@@ -272,7 +282,7 @@ Optimizer::Subplan Optimizer::OptimizePredicate(const AdornedPredicate& ap) {
   SearchScope trace_scope(st, st == nullptr ? std::string()
                                             : StrCat("p ", trace_key));
 
-  Subplan result;
+  Subplan& result = *scratch;
   int clique_index = graph_.CliqueIndex(ap.pred);
   if (clique_index >= 0) {
     result = OptimizeClique(clique_index, ap);
@@ -316,17 +326,16 @@ Optimizer::Subplan Optimizer::OptimizePredicate(const AdornedPredicate& ap) {
 
   // A result computed after an abort latched may be built from placeholder
   // children — never memoize it (it would poison later Optimize calls).
-  if (!aborted_status_.ok()) return AbortedSubplan();
+  if (!aborted_status_.ok()) return result = AbortedSubplan();
   TraceMemoNode(trace_key, ap, &result);
-  if (options_.memoize) {
-    memo_[ap] = result;
-    if (options_.trace.accountant != nullptr) {
-      const uint64_t entry_bytes = ApproxSubplanBytes(result);
-      memo_charged_bytes_ += entry_bytes;
-      options_.trace.accountant->AddBytes(entry_bytes);
-    }
+  if (!options_.memoize) return result;
+  Subplan& entry = memo_[ap] = std::move(result);
+  if (options_.trace.accountant != nullptr) {
+    const uint64_t entry_bytes = ApproxSubplanBytes(entry);
+    memo_charged_bytes_ += entry_bytes;
+    options_.trace.accountant->AddBytes(entry_bytes);
   }
-  return result;
+  return entry;
 }
 
 Optimizer::Subplan Optimizer::OptimizeRule(size_t rule_index,
@@ -404,38 +413,40 @@ Optimizer::Subplan Optimizer::OptimizeRule(size_t rule_index,
 
   // Record which derived children the chosen order materializes.
   {
-    StepState state;
-    state.bound = initial;
+    const CompiledConjunct conj(items, initial);
+    CompiledConjunct::Bindings bindings = conj.Initial();
+    CompiledConjunct::Progress progress;
     for (size_t idx : best.order) {
       const Literal& lit = rule.body()[idx];
       if (!lit.IsBuiltin() && !lit.negated() &&
           program_.IsDerived(lit.predicate())) {
-        Adornment adn = AdornLiteral(lit, state.bound);
+        Adornment adn = conj.Adorn(idx, bindings.bound);
         plan.children.push_back({lit.predicate(), adn});
         // Same gate as MakeItem's estimate: a statically-unreachable free
         // adornment must not be materialized (its subplan is a placeholder).
         if (options_.consider_materialization && adn.BoundCount() > 0 &&
             !Unreachable({lit.predicate(), Adornment::AllFree(lit.arity())})) {
-          Subplan pipelined = OptimizePredicate({lit.predicate(), adn});
-          Subplan full = OptimizePredicate(
+          const PlanEstimate pipelined =
+              EstimatePredicate({lit.predicate(), adn});
+          const PlanEstimate full = EstimatePredicate(
               {lit.predicate(), Adornment::AllFree(lit.arity())});
-          double outer = std::max(state.card, 1.0);
+          double outer = std::max(progress.card, 1.0);
           double pipe_total =
-              pipelined.est.safe
-                  ? pipelined.est.setup + outer * pipelined.est.per_binding
+              pipelined.safe
+                  ? pipelined.setup + outer * pipelined.per_binding
                   : kInfiniteCost;
           double mat_total =
-              full.est.safe
-                  ? full.est.setup + full.est.per_binding +
-                        outer * options_.cost.index_probe_cost
-                  : kInfiniteCost;
+              full.safe ? full.setup + full.per_binding +
+                              outer * options_.cost.index_probe_cost
+                        : kInfiniteCost;
           if (mat_total < pipe_total) {
             plan.materialized_children.push_back({lit.predicate(), adn});
           }
         }
       }
-      model_.ApplyStep(items[idx], &state);
-      if (!state.safe) break;
+      model_.Charge(conj, idx, bindings, &progress);
+      if (!progress.safe) break;
+      conj.Bind(idx, &bindings);
     }
   }
   return plan;

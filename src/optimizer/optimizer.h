@@ -256,6 +256,13 @@ class Optimizer {
 
   // OR node / CC dispatch (Figure 7-1 case 2 + Figure 7-2 case 3).
   Subplan OptimizePredicate(const AdornedPredicate& ap);
+  /// OptimizePredicate(ap).est without copying the memo entry: the path of
+  /// every derived item's estimate.
+  PlanEstimate EstimatePredicate(const AdornedPredicate& ap);
+  /// The memo entry for `ap`, optimizing it on a miss; a result that is not
+  /// memoized (aborted, pruned, memo off) is built in `*scratch`. memo_ is
+  /// node-based, so the reference survives later inserts.
+  const Subplan& FindOrOptimize(const AdornedPredicate& ap, Subplan* scratch);
   // AND node (Figure 7-1/7-2 case 1): order search over one rule body.
   Subplan OptimizeRule(size_t rule_index, const Adornment& head_adn);
   // CC node (Figure 7-2 case 3).

@@ -272,6 +272,22 @@ TEST(MetricsTest, WriteJsonGaugeParsesBackExactly) {
   EXPECT_EQ(rss, 93931640);
 }
 
+// The text dump (ldl_profile --metrics) spells gauges and histogram
+// statistics exactly too; it used to print 1792300000.25 as 1.7923e+09.
+TEST(MetricsTest, TextDumpPrintsGaugesExactly) {
+  MetricsRegistry registry;
+  registry.gauge("process.start_unix_seconds")->Set(1792300000.25);
+  registry.histogram("wall_ms")->Record(1792300000.25);
+  const std::string text = registry.ToString();
+  EXPECT_NE(text.find("process.start_unix_seconds = 1792300000.25\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("sum=1792300000.25 min=1792300000.25 "
+                      "max=1792300000.25 mean=1792300000.25"),
+            std::string::npos)
+      << text;
+}
+
 TEST(ContextTest, ActiveAndInert) {
   TraceContext inert;
   EXPECT_FALSE(inert.active());

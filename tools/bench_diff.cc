@@ -18,11 +18,13 @@
 // first (label) cell — a reshaped table is reported as skipped, not failed,
 // so adding a workload does not masquerade as a regression.
 //
-// Work columns — headers exactly "examined" or "derived" — count tuples,
-// which are deterministic for a given algorithm and input and do not
-// depend on the machine. They must equal the baseline exactly, whatever
-// the threshold: a change in work is a change in the algorithm, which the
-// baselines record only when deliberately refreshed.
+// Work columns count deterministic work: tuples ("examined", "derived"),
+// cost evaluations ("cost evals", "(evals)", "evals kbz", "evals dp",
+// "avg evals", "avg evals (SA)") and memo work ("memo hits", "memo
+// entries", "subplans"). They do not depend on the machine, so they must
+// equal the baseline exactly, whatever the threshold: a change in work is
+// a change in the algorithm, which the baselines record only when
+// deliberately refreshed.
 //
 // Each file also carries a "host" object (nproc, cpu, build_type). When the
 // baseline's host differs from the run's, or the baseline has none, a
@@ -36,6 +38,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -89,7 +92,12 @@ bool TimeLikeHeader(const std::string& header) {
 }
 
 bool WorkHeader(const std::string& header) {
-  return header == "examined" || header == "derived";
+  static const char* const kWork[] = {
+      "examined",  "derived",   "cost evals", "(evals)",
+      "evals kbz", "evals dp",  "avg evals",  "avg evals (SA)",
+      "memo hits", "memo entries", "subplans"};
+  return std::find(std::begin(kWork), std::end(kWork), header) !=
+         std::end(kWork);
 }
 
 bool ParseCell(const std::string& cell, double* out) {
@@ -232,10 +240,11 @@ size_t DiffFile(const std::string& name, const JsonValue& baseline,
           ++checked->work;
           if (cur_v != base_v) {
             ++regressions;
-            std::printf("%s %s [%s] row \"%s\": %.0f -> %.0f (work must "
+            std::printf("%s %s [%s] row \"%s\": %s -> %s (work must "
                         "match the baseline exactly)\n",
                         name.c_str(), cur.id.c_str(), cur.headers[c].c_str(),
-                        cur_row[0].c_str(), base_v, cur_v);
+                        cur_row[0].c_str(), base_row[c].c_str(),
+                        cur_row[c].c_str());
           }
           continue;
         }
