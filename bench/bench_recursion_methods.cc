@@ -45,16 +45,17 @@ void RunRow(const Program& program, Database* db, const Literal& goal,
     double ms = watch.ElapsedMs();
     if (!result.ok()) {
       table->AddRow({workload, RecursionMethodToString(method), "-", "-", "-",
-                     "-", result.status().ToString().substr(0, 40)});
+                     "-", "-", result.status().ToString().substr(0, 40)});
       continue;
     }
+    const double examined =
+        static_cast<double>(result->stats.counters.tuples_examined);
     table->AddRow(
         {workload, RecursionMethodToString(method),
-         std::to_string(result->answers.size()),
-         Fmt(static_cast<double>(result->stats.counters.tuples_examined),
-             "%.3g"),
+         std::to_string(result->answers.size()), Fmt(examined, "%.3g"),
          Fmt(static_cast<double>(result->stats.counters.derivations), "%.3g"),
-         Fmt(ms, "%.2f"), ""});
+         Fmt(ms, "%.2f"),
+         examined > 0 ? Fmt(ms * 1e6 / examined, "%.0f") : "-", ""});
   }
 }
 
@@ -63,8 +64,11 @@ void RunRow(const Program& program, Database* db, const Literal& goal,
 void PrintExperiment() {
   bench::Banner("E4", "recursive methods on bound queries "
                       "(tuples examined = machine-independent work)");
+  // ns/examined = ms x 1e6 / examined: wall time per tuple examined, the
+  // engine's per-tuple cost (ROADMAP's north-star figure is the sg.bf
+  // f=3 d=5 seminaive row).
   Table table({"workload", "method", "answers", "examined", "derived", "ms",
-               "note"});
+               "ns/examined", "note"});
 
   {
     auto program = ParseProgram(kSgRules);

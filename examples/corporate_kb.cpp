@@ -18,7 +18,7 @@ void Show(ldl::LdlSystem* sys, const char* query) {
     std::printf("   %s\n\n", answer.status().ToString().c_str());
     return;
   }
-  for (const ldl::Tuple& t : answer->answers.tuples()) {
+  for (ldl::TupleView t : answer->answers.tuples()) {
     std::printf("   %s\n", ldl::TupleToString(t).c_str());
   }
   std::printf("   [%zu answers, method %s, %zu tuples examined]\n\n",

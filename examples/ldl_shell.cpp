@@ -43,7 +43,7 @@ void RunQuery(ldl::LdlSystem* sys, const std::string& goal_text) {
     std::printf("error: %s\n", answer.status().ToString().c_str());
     return;
   }
-  for (const ldl::Tuple& t : answer->answers.tuples()) {
+  for (ldl::TupleView t : answer->answers.tuples()) {
     std::printf("  %s\n", ldl::TupleToString(t).c_str());
   }
   std::printf("%zu answer(s) via %s; %s\n", answer->answers.size(),

@@ -36,7 +36,7 @@ int main() {
   }
 
   std::printf("anc(bart, Y)? ->\n");
-  for (const ldl::Tuple& t : answer->answers.tuples()) {
+  for (ldl::TupleView t : answer->answers.tuples()) {
     std::printf("  Y = %s\n", t[1].ToString().c_str());
   }
 

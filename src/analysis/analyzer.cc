@@ -401,7 +401,7 @@ std::vector<TypeSet> ProgramAnalyzer::BaseTypes(const PredicateId& pred) const {
       if (rel->size() > options_.max_type_seed_scan) {
         return std::vector<TypeSet>(pred.arity, TypeSet::Any());
       }
-      for (const Tuple& t : rel->tuples()) {
+      for (TupleView t : rel->tuples()) {
         for (size_t i = 0; i < cols.size(); ++i) {
           cols[i] = cols[i].Join(TypeSet::Of(t[i]));
         }

@@ -375,7 +375,8 @@ class Parser {
       return Literal::Make(lhs.text(), {});
     }
     if (lhs.kind() == TermKind::kFunction) {
-      return Literal::Make(lhs.text(), std::vector<Term>(lhs.args()));
+      return Literal::Make(lhs.text(),
+                           std::vector<Term>(lhs.args().begin(), lhs.args().end()));
     }
     return Err(StrCat("expected a literal, got term ", lhs.ToString()));
   }

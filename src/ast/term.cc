@@ -1,66 +1,171 @@
 #include "ast/term.h"
 
+#include <algorithm>
+#include <mutex>
+#include <new>
+#include <shared_mutex>
 #include <sstream>
-
-#include "base/hash.h"
 
 namespace ldl {
 
 namespace {
-const std::vector<Term>& EmptyArgs() {
-  static const auto* empty = new std::vector<Term>();
-  return *empty;
-}
 
 // List constructors: '.'(Head, Tail) cons cells terminated by the symbol [].
 constexpr char kConsFunctor[] = ".";
 constexpr char kNilSymbol[] = "[]";
+
+/// The process-wide atom table: an open-addressing set of atom pointers
+/// keyed by each atom's cached hash, kept at most half full. Lookups take
+/// the shared lock; a miss retakes the exclusive lock and inserts. Atoms
+/// are never removed, so an atom pointer handed out stays valid for the
+/// life of the process.
+class AtomTable {
+ public:
+  const Atom* Intern(std::string_view text) {
+    const size_t hash = std::hash<std::string_view>{}(text);
+    {
+      std::shared_lock<std::shared_mutex> lock(mu_);
+      const Atom* found = slots_[Probe(hash, text)];
+      if (found != nullptr) return found;
+    }
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    size_t i = Probe(hash, text);
+    if (slots_[i] != nullptr) return slots_[i];
+    if ((count_ + 1) * 2 > slots_.size()) {
+      Grow();
+      i = Probe(hash, text);
+    }
+    slots_[i] = new Atom{std::string(text), hash};
+    ++count_;
+    return slots_[i];
+  }
+
+ private:
+  /// The slot holding `text`, else the empty slot where it belongs.
+  size_t Probe(size_t hash, std::string_view text) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Mix64(hash) & mask;; i = (i + 1) & mask) {
+      const Atom* a = slots_[i];
+      if (a == nullptr || (a->hash == hash && a->text == text)) return i;
+    }
+  }
+
+  void Grow() {
+    std::vector<const Atom*> old(slots_.size() * 2, nullptr);
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Atom* a : old) {
+      if (a == nullptr) continue;
+      size_t i = Mix64(a->hash) & mask;
+      while (slots_[i] != nullptr) i = (i + 1) & mask;
+      slots_[i] = a;
+    }
+  }
+
+  std::shared_mutex mu_;
+  std::vector<const Atom*> slots_ = std::vector<const Atom*>(1024, nullptr);
+  size_t count_ = 0;
+};
+
+AtomTable& Atoms() {
+  static auto* table = new AtomTable();
+  return *table;
+}
+
 }  // namespace
 
-Term Term::MakeVariable(std::string name) {
-  return Term(TermKind::kVariable, std::move(name));
+const Atom* InternAtom(std::string_view text) { return Atoms().Intern(text); }
+
+const Atom* Term::NilAtom() {
+  static const Atom* const nil = InternAtom("nil");
+  return nil;
+}
+
+const std::string& Term::EmptyText() {
+  static const auto* empty = new std::string();
+  return *empty;
+}
+
+Term Term::MakeAtomic(TermKind kind, const Atom* atom) {
+  Term t(kind);
+  t.atom_ = atom;
+  return t;
+}
+
+Term Term::MakeVariable(std::string_view name) {
+  return MakeAtomic(TermKind::kVariable, InternAtom(name));
 }
 
 Term Term::MakeInt(int64_t value) {
-  Term t(TermKind::kInt, "");
-  t.int_value_ = value;
+  Term t(TermKind::kInt);
+  t.int_ = value;
   return t;
 }
 
 Term Term::MakeReal(double value) {
-  Term t(TermKind::kReal, "");
-  t.real_value_ = value;
+  Term t(TermKind::kReal);
+  t.real_ = value;
   return t;
 }
 
-Term Term::MakeString(std::string value) {
-  return Term(TermKind::kString, std::move(value));
+Term Term::MakeString(std::string_view value) {
+  return MakeAtomic(TermKind::kString, InternAtom(value));
 }
 
-Term Term::MakeSymbol(std::string name) {
-  return Term(TermKind::kSymbol, std::move(name));
+Term Term::MakeSymbol(std::string_view name) {
+  return MakeAtomic(TermKind::kSymbol, InternAtom(name));
 }
 
-Term Term::MakeFunction(std::string functor, std::vector<Term> args) {
-  Term t(TermKind::kFunction, std::move(functor));
-  t.args_ = std::make_shared<const std::vector<Term>>(std::move(args));
+Term Term::MakeFunctionNode(const Atom* functor, std::vector<Term> args) {
+  void* mem = ::operator new(sizeof(FunctionNode) + args.size() * sizeof(Term));
+  auto* node = new (mem) FunctionNode;
+  node->refs.store(1, std::memory_order_relaxed);
+  node->arity = static_cast<uint32_t>(args.size());
+  node->functor = functor;
+  size_t seed = static_cast<size_t>(TermKind::kFunction);
+  HashCombine(&seed, functor->hash);
+  Term* slots = node->args();
+  for (size_t i = 0; i < args.size(); ++i) {
+    HashCombine(&seed, args[i].Hash());
+    new (slots + i) Term(std::move(args[i]));
+  }
+  node->hash = seed;
+  Term t(TermKind::kFunction);
+  t.fn_ = node;
   return t;
+}
+
+void Term::Free(FunctionNode* node) {
+  Term* args = node->args();
+  for (uint32_t i = 0; i < node->arity; ++i) args[i].~Term();
+  node->~FunctionNode();
+  ::operator delete(node);
+}
+
+Term Term::MakeFunction(std::string_view functor, std::vector<Term> args) {
+  return MakeFunctionNode(InternAtom(functor), std::move(args));
+}
+
+Term Term::WithArgs(std::vector<Term> args) const {
+  return MakeFunctionNode(fn_->functor, std::move(args));
 }
 
 Term Term::MakeList(const std::vector<Term>& items) {
-  return MakeList(items, MakeSymbol(kNilSymbol));
+  static const Atom* const nil = InternAtom(kNilSymbol);
+  return MakeList(items, MakeAtomic(TermKind::kSymbol, nil));
 }
 
 Term Term::MakeList(const std::vector<Term>& items, Term tail) {
+  static const Atom* const cons = InternAtom(kConsFunctor);
   Term list = std::move(tail);
   for (auto it = items.rbegin(); it != items.rend(); ++it) {
-    list = MakeFunction(kConsFunctor, {*it, std::move(list)});
+    std::vector<Term> args;
+    args.reserve(2);
+    args.push_back(*it);
+    args.push_back(std::move(list));
+    list = MakeFunctionNode(cons, std::move(args));
   }
   return list;
-}
-
-const std::vector<Term>& Term::args() const {
-  return args_ ? *args_ : EmptyArgs();
 }
 
 bool Term::IsGround() const {
@@ -79,14 +184,14 @@ bool Term::IsGround() const {
 
 void Term::CollectVariables(std::vector<std::string>* out) const {
   if (kind_ == TermKind::kVariable) {
-    out->push_back(text_);
+    out->push_back(atom_->text);
   } else if (kind_ == TermKind::kFunction) {
     for (const Term& a : args()) a.CollectVariables(out);
   }
 }
 
 bool Term::ContainsVariable(const std::string& name) const {
-  if (kind_ == TermKind::kVariable) return text_ == name;
+  if (kind_ == TermKind::kVariable) return atom_->text == name;
   if (kind_ == TermKind::kFunction) {
     for (const Term& a : args()) {
       if (a.ContainsVariable(name)) return true;
@@ -117,77 +222,58 @@ size_t Term::Depth() const {
   return d + 1;
 }
 
-bool Term::operator==(const Term& other) const {
-  if (kind_ != other.kind_) return false;
-  switch (kind_) {
-    case TermKind::kInt:
-      return int_value_ == other.int_value_;
-    case TermKind::kReal:
-      return real_value_ == other.real_value_;
-    case TermKind::kVariable:
-    case TermKind::kString:
-    case TermKind::kSymbol:
-      return text_ == other.text_;
-    case TermKind::kFunction: {
-      if (text_ != other.text_) return false;
-      const auto& a = args();
-      const auto& b = other.args();
-      if (a.size() != b.size()) return false;
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (!(a[i] == b[i])) return false;
-      }
-      return true;
-    }
+bool Term::FunctionEquals(const FunctionNode& a, const FunctionNode& b) {
+  // Equal terms hash equally (std::hash maps 0.0 and -0.0 alike), so a
+  // hash mismatch settles most unequal pairs without a descent.
+  if (a.hash != b.hash || a.functor != b.functor || a.arity != b.arity) {
+    return false;
   }
-  return false;
+  const Term* x = a.args();
+  const Term* y = b.args();
+  for (uint32_t i = 0; i < a.arity; ++i) {
+    if (!(x[i] == y[i])) return false;
+  }
+  return true;
 }
 
-bool Term::operator<(const Term& other) const {
-  if (kind_ != other.kind_) return kind_ < other.kind_;
-  switch (kind_) {
-    case TermKind::kInt:
-      return int_value_ < other.int_value_;
-    case TermKind::kReal:
-      return real_value_ < other.real_value_;
-    case TermKind::kVariable:
-    case TermKind::kString:
-    case TermKind::kSymbol:
-      return text_ < other.text_;
-    case TermKind::kFunction: {
-      if (text_ != other.text_) return text_ < other.text_;
-      const auto& a = args();
-      const auto& b = other.args();
-      if (a.size() != b.size()) return a.size() < b.size();
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i] < b[i]) return true;
-        if (b[i] < a[i]) return false;
-      }
-      return false;
-    }
-  }
-  return false;
+namespace {
+
+int CompareTexts(const Atom* a, const Atom* b) {
+  if (a == b) return 0;
+  return a->text.compare(b->text) < 0 ? -1 : 1;
 }
 
-size_t Term::Hash() const {
-  size_t seed = static_cast<size_t>(kind_);
-  switch (kind_) {
+/// Three-way form of the term order: <0, 0 or >0. Descends into each
+/// argument once, where two operator< calls per argument would descend
+/// twice and take time exponential in the depth of equal list prefixes.
+int Compare(const Term& a, const Term& b) {
+  if (a.kind() != b.kind()) return a.kind() < b.kind() ? -1 : 1;
+  switch (a.kind()) {
     case TermKind::kInt:
-      HashValue(&seed, int_value_);
-      break;
+      return a.int_value() < b.int_value()   ? -1
+             : b.int_value() < a.int_value() ? 1
+                                             : 0;
     case TermKind::kReal:
-      HashValue(&seed, real_value_);
-      break;
-    case TermKind::kVariable:
-    case TermKind::kString:
-    case TermKind::kSymbol:
-      HashValue(&seed, text_);
-      break;
-    case TermKind::kFunction:
-      HashValue(&seed, text_);
-      for (const Term& a : args()) HashCombine(&seed, a.Hash());
-      break;
+      return a.real_value() < b.real_value()   ? -1
+             : b.real_value() < a.real_value() ? 1
+                                               : 0;
+    case TermKind::kFunction: {
+      if (int c = CompareTexts(a.atom(), b.atom())) return c;
+      if (a.arity() != b.arity()) return a.arity() < b.arity() ? -1 : 1;
+      for (size_t i = 0; i < a.arity(); ++i) {
+        if (int c = Compare(a.args()[i], b.args()[i])) return c;
+      }
+      return 0;
+    }
+    default:
+      return CompareTexts(a.atom(), b.atom());
   }
-  return seed;
+}
+
+}  // namespace
+
+bool Term::FunctionLess(const Term& a, const Term& b) {
+  return Compare(a, b) < 0;
 }
 
 namespace {

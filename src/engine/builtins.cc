@@ -66,7 +66,7 @@ Result<Term> EvalArithmetic(const Term& t) {
       if (op == "*") return Term::MakeReal(x * y);
     }
   }
-  return Term::MakeFunction(t.text(), std::move(args));
+  return t.WithArgs(std::move(args));
 }
 
 namespace {

@@ -9,16 +9,25 @@
 namespace ldl {
 
 // Reentrancy contract: every function in this header is a pure function of
-// its arguments (plus the passed-in Substitution, for EvalBuiltin) — no
-// mutable static or global state (audited; the only function-local statics
-// in the evaluation stack are immutable empty-collection singletons with
-// thread-safe initialization, in term.cc and relation.cc). Concurrently
-// evaluating LdlSystem instances may therefore call these from any number
-// of threads, as long as each Substitution is thread-private. The rule
-// evaluator holds no Substitution: its bindings live in per-call slot
-// arrays (engine/rule_eval.cc), private to the calling thread. Pinned under
-// TSan by ScenarioTest.ConcurrentIndependentSystems in
-// tests/scenario_test.cc.
+// its arguments (plus the passed-in Substitution, for EvalBuiltin), and
+// concurrently evaluating LdlSystem instances may call them from any
+// number of threads as long as each Substitution is thread-private. The
+// rule evaluator holds no Substitution: its bindings live in per-call slot
+// arrays (engine/rule_eval.cc), private to the calling thread.
+//
+// The evaluation stack has exactly one piece of process-wide mutable
+// state: the atom table that interns variable, symbol, functor and string
+// text (InternAtom in ast/term.h). It is append-only and thread-safe: a
+// reader-writer lock guards it, atoms are never freed or moved, and every
+// thread gets the same atom for the same text, so terms built on
+// different threads compare equal by atom address. Function-term nodes
+// are shared between copies of a term through an atomic reference count.
+// Every other function-local static in the stack is an immutable constant
+// with thread-safe initialization. Pinned under TSan by
+// ScenarioTest.ConcurrentIndependentSystems and
+// ScenarioTest.ConcurrentSystemsShareInternedText (tests/scenario_test.cc)
+// and AtomTableTest.ConcurrentInterningAgreesAcrossThreads
+// (tests/term_test.cc).
 
 /// Outcome of attempting one builtin literal under a substitution.
 enum class BuiltinOutcome {

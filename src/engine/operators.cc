@@ -6,15 +6,13 @@ namespace ldl {
 
 namespace {
 
-Tuple Concat(const Tuple& a, const Tuple& b) {
-  Tuple out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+/// Fills `out` with the row `a` followed by the row `b`.
+void Concat(TupleView a, TupleView b, Tuple* out) {
+  out->assign(a.begin(), a.end());
+  out->insert(out->end(), b.begin(), b.end());
 }
 
-bool KeysMatch(const Tuple& l, const Tuple& r, const JoinKeys& keys) {
+bool KeysMatch(TupleView l, TupleView r, const JoinKeys& keys) {
   for (const auto& [lc, rc] : keys) {
     if (!(l[lc] == r[rc])) return false;
   }
@@ -26,7 +24,7 @@ bool KeysMatch(const Tuple& l, const Tuple& r, const JoinKeys& keys) {
 Relation Select(const Relation& rel, size_t col, const Term& value,
                 EvalCounters* counters) {
   Relation out(rel.name(), rel.arity());
-  for (const Tuple& t : rel.tuples()) {
+  for (TupleView t : rel.tuples()) {
     counters->tuples_examined++;
     if (t[col] == value) out.Insert(t);
   }
@@ -36,12 +34,12 @@ Relation Select(const Relation& rel, size_t col, const Term& value,
 Relation Project(const Relation& rel, const std::vector<size_t>& cols,
                  EvalCounters* counters) {
   Relation out(rel.name(), cols.size());
-  for (const Tuple& t : rel.tuples()) {
+  Tuple p;
+  for (TupleView t : rel.tuples()) {
     counters->tuples_examined++;
-    Tuple p;
-    p.reserve(cols.size());
+    p.clear();
     for (size_t c : cols) p.push_back(t[c]);
-    out.Insert(std::move(p));
+    out.Insert(p);
   }
   return out;
 }
@@ -50,12 +48,14 @@ Relation NestedLoopJoin(const Relation& left, const Relation& right,
                         const JoinKeys& keys, EvalCounters* counters) {
   Relation out(left.name() + "*" + right.name(),
                left.arity() + right.arity());
-  for (const Tuple& l : left.tuples()) {
-    for (const Tuple& r : right.tuples()) {
+  Tuple row;
+  for (TupleView l : left.tuples()) {
+    for (TupleView r : right.tuples()) {
       counters->tuples_examined++;
       if (KeysMatch(l, r, keys)) {
         counters->derivations++;
-        out.Insert(Concat(l, r));
+        Concat(l, r, &row);
+        out.Insert(row);
       }
     }
   }
@@ -87,9 +87,11 @@ Relation HashJoin(Relation& left, Relation& right, const JoinKeys& keys,
     // express the conjunction; fall back.
     return NestedLoopJoin(left, right, keys, counters);
   }
-  for (const Tuple& p : probe.tuples()) {
+  Relation::Index& index = build.IndexOn(sorted_build);
+  Tuple key(sorted_build.size());
+  Tuple row;
+  for (TupleView p : probe.tuples()) {
     counters->tuples_examined++;
-    Tuple key(sorted_build.size(), Term());
     // Key values must line up with the sorted build columns.
     for (size_t k = 0; k < build_cols.size(); ++k) {
       size_t slot = std::lower_bound(sorted_build.begin(), sorted_build.end(),
@@ -97,11 +99,16 @@ Relation HashJoin(Relation& left, Relation& right, const JoinKeys& keys,
                     sorted_build.begin();
       key[slot] = p[probe_cols[k]];
     }
-    for (uint32_t id : build.Lookup(sorted_build, key)) {
+    for (uint32_t id : build.Lookup(index, key)) {
       counters->tuples_examined++;
       counters->derivations++;
-      const Tuple& b = build.tuple(id);
-      out.Insert(left_builds ? Concat(b, p) : Concat(p, b));
+      const TupleView b = build.tuple(id);
+      if (left_builds) {
+        Concat(b, p, &row);
+      } else {
+        Concat(p, b, &row);
+      }
+      out.Insert(row);
     }
   }
   return out;
@@ -109,11 +116,11 @@ Relation HashJoin(Relation& left, Relation& right, const JoinKeys& keys,
 
 Relation Union(const Relation& a, const Relation& b, EvalCounters* counters) {
   Relation out(a.name(), a.arity());
-  for (const Tuple& t : a.tuples()) {
+  for (TupleView t : a.tuples()) {
     counters->tuples_examined++;
     out.Insert(t);
   }
-  for (const Tuple& t : b.tuples()) {
+  for (TupleView t : b.tuples()) {
     counters->tuples_examined++;
     out.Insert(t);
   }
@@ -123,7 +130,7 @@ Relation Union(const Relation& a, const Relation& b, EvalCounters* counters) {
 Relation Difference(const Relation& a, const Relation& b,
                     EvalCounters* counters) {
   Relation out(a.name(), a.arity());
-  for (const Tuple& t : a.tuples()) {
+  for (TupleView t : a.tuples()) {
     counters->tuples_examined++;
     if (!b.Contains(t)) out.Insert(t);
   }
@@ -143,9 +150,9 @@ Relation SemiJoin(Relation& left, Relation& right, const JoinKeys& keys,
       right_cols.end()) {
     // Duplicate right column: test matches tuple-by-tuple instead.
     Relation out_slow(left.name(), left.arity());
-    for (const Tuple& l : left.tuples()) {
+    for (TupleView l : left.tuples()) {
       counters->tuples_examined++;
-      for (const Tuple& r : right.tuples()) {
+      for (TupleView r : right.tuples()) {
         counters->tuples_examined++;
         if (KeysMatch(l, r, keys)) {
           out_slow.Insert(l);
@@ -155,13 +162,13 @@ Relation SemiJoin(Relation& left, Relation& right, const JoinKeys& keys,
     }
     return out_slow;
   }
-  for (const Tuple& l : left.tuples()) {
+  Tuple key(right_cols.size());
+  for (TupleView l : left.tuples()) {
     counters->tuples_examined++;
     if (keys.empty()) {
       if (!right.empty()) out.Insert(l);
       continue;
     }
-    Tuple key(right_cols.size(), Term());
     for (size_t k = 0; k < keys.size(); ++k) {
       size_t slot = std::lower_bound(right_cols.begin(), right_cols.end(),
                                      static_cast<int>(keys[k].second)) -

@@ -45,7 +45,9 @@ Program ReachableSubprogram(const Program& program, const Literal& goal,
 }
 
 std::vector<Tuple> CanonicalAnswers(const Relation& answers) {
-  std::vector<Tuple> out = answers.tuples();
+  std::vector<Tuple> out;
+  out.reserve(answers.size());
+  for (TupleView t : answers.tuples()) out.push_back(ToTuple(t));
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -56,7 +58,7 @@ std::string AnswerFingerprint(const Relation& answers) {
   // fixed here, not shared with storage: recorded fingerprints (query logs,
   // bench work digests) stay comparable when storage hashing changes.
   uint64_t acc = 0;
-  for (const Tuple& t : answers.tuples()) {
+  for (TupleView t : answers.tuples()) {
     size_t hash = t.size();
     for (const Term& v : t) HashCombine(&hash, v.Hash());
     acc += static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ULL;
@@ -194,9 +196,10 @@ Result<QueryResult> EvaluateCounting(const Program& program, Database* base,
                                     counting.answer_goal);
   Relation answers("answers", goal.arity());
   const Adornment adn = Adornment::FromGoal(goal);
-  for (const Tuple& t : matched.tuples()) {
-    Tuple full;
-    full.reserve(goal.arity());
+  Tuple full;
+  full.reserve(goal.arity());
+  for (TupleView t : matched.tuples()) {
+    full.clear();
     size_t free_idx = 1;  // t[0] is the counter (= 0)
     for (size_t i = 0; i < goal.arity(); ++i) {
       if (adn.IsBound(i)) {
@@ -205,7 +208,7 @@ Result<QueryResult> EvaluateCounting(const Program& program, Database* base,
         full.push_back(t[free_idx++]);
       }
     }
-    answers.Insert(std::move(full));
+    answers.Insert(full);
   }
   result.answers = std::move(answers);
   return result;

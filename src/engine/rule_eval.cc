@@ -29,7 +29,7 @@ void EvalCounters::ExportTo(MetricsRegistry* metrics) const {
 namespace {
 
 /// The value of every variable during evaluation, by slot id. A slot points
-/// at the value in place: into a stored tuple, a probe's private copy of
+/// at the value in place: into a stored row, a probe's per-depth copy of
 /// one, or a folded builtin side, each of which outlives the bindings made
 /// from it.
 using Slots = std::vector<const Term*>;
@@ -123,7 +123,7 @@ Term Instantiate(const TermCode& code, const Slots& slots) {
       std::vector<Term> args;
       args.reserve(code.args.size());
       for (const TermCode& a : code.args) args.push_back(Instantiate(a, slots));
-      return Term::MakeFunction(code.term->text(), std::move(args));
+      return code.term->WithArgs(std::move(args));
     }
     default:
       return *code.term;
@@ -208,7 +208,7 @@ ProbeCode CompileProbe(const Literal& lit, const std::vector<TermCode>& args,
 }
 
 /// True iff `t` matches every match column of `probe`; binds their slots.
-bool MatchColumns(const ProbeCode& probe, const Tuple& t, Slots* slots) {
+bool MatchColumns(const ProbeCode& probe, TupleView t, Slots* slots) {
   for (const ProbeCode::Column& c : probe.match) {
     if (!Match(c.code, t[c.col], slots)) return false;
   }
@@ -351,7 +351,10 @@ class RuleEvaluator {
         options_(options),
         slots_(body.num_slots, nullptr),
         keys_(body.steps.size()),
+        head_(body.head.size()),
+        copies_(body.steps.size()),
         resolved_(body.steps.size(), nullptr),
+        indexes_(body.steps.size(), nullptr),
         resolved_done_(body.steps.size(), false) {
     for (size_t d = 0; d < body.steps.size(); ++d) {
       const CompiledStep& step = body.steps[d];
@@ -397,11 +400,17 @@ class RuleEvaluator {
     since_check_ = 0;
   }
 
-  /// The plain resolver's relation for position `depth`, asked once.
+  /// The plain resolver's relation for position `depth`, asked once, and
+  /// the handle of its index on the position's key columns.
   Relation* Resolved(size_t depth) {
     if (!resolved_done_[depth]) {
       const CompiledStep& step = body_.steps[depth];
-      resolved_[depth] = resolve_(*step.lit, step.body_pos);
+      Relation* rel = resolve_(*step.lit, step.body_pos);
+      resolved_[depth] = rel;
+      if (rel != nullptr && step.kind == StepKind::kPositive &&
+          !step.probe.key_cols.empty()) {
+        indexes_[depth] = &rel->IndexOn(step.probe.key_cols);
+      }
       resolved_done_[depth] = true;
     }
     return resolved_[depth];
@@ -437,9 +446,8 @@ class RuleEvaluator {
           StrCat("rule ", body_.rule->ToString(), " exceeded ",
                  options_.max_derivations, " derivations"));
     }
-    Tuple t;
-    t.reserve(body_.head.size());
-    for (const TermCode& code : body_.head) {
+    for (size_t i = 0; i < body_.head.size(); ++i) {
+      const TermCode& code = body_.head[i];
       if (!code.ground) {
         return Status::Unsafe(
             StrCat("non-ground head value ",
@@ -447,18 +455,25 @@ class RuleEvaluator {
                    body_.rule->ToString(),
                    " (rule is not range-restricted under this order)"));
       }
-      Term scratch;
-      const Term& v = Read(code, slots_, &scratch);
+      Term& v = head_[i];
+      switch (code.op) {
+        case TermCode::Op::kBound:
+          v = *slots_[code.slot];
+          break;
+        case TermCode::Op::kFunction:
+          v = Instantiate(code, slots_);
+          break;
+        default:
+          v = *code.term;
+      }
       // Fold any arithmetic the head may carry, e.g. p(X+1) <- q(X).
       if (v.IsFunction() && ContainsArithmetic(v)) {
         auto folded = EvalArithmetic(v);
         if (!folded.ok()) return Status::OK();  // arithmetic error: no tuple
-        t.push_back(std::move(folded).value());
-      } else {
-        t.push_back(v);
+        v = std::move(folded).value();
       }
     }
-    if (out_->Insert(std::move(t))) {
+    if (out_->Insert(head_)) {
       counters_->inserts++;
       ++inserted_;
     }
@@ -523,7 +538,7 @@ class RuleEvaluator {
     return Step(depth + 1);
   }
 
-  Status TryTuple(const CompiledStep& step, size_t depth, const Tuple& t) {
+  Status TryTuple(const CompiledStep& step, size_t depth, TupleView t) {
     LDL_RETURN_NOT_OK(CountExamined());
     if (!MatchColumns(step.probe, t, &slots_)) return Status::OK();
     return Step(depth + 1);
@@ -540,46 +555,64 @@ class RuleEvaluator {
       rel = options_.pattern_resolver(*step.lit, step.body_pos, patterns);
     }
     const bool tabled = rel != nullptr;
-    if (rel == nullptr) rel = Resolved(depth);
+    Relation::Index* index = nullptr;
+    if (rel == nullptr) {
+      rel = Resolved(depth);
+      index = indexes_[depth];
+    }
     if (rel == nullptr) return Status::OK();
 
     const ProbeCode& probe = step.probe;
     const bool keyed = !probe.key_cols.empty();
-    if (keyed) FillKey(probe, slots_, &keys_[depth]);
+    if (keyed) {
+      FillKey(probe, slots_, &keys_[depth]);
+      if (tabled) index = &rel->IndexOn(probe.key_cols);
+    }
 
-    // A stable relation gains no tuples while this rule runs, so its
-    // posting lists and tuples are read in place and slots point into it.
+    // A stable relation gains no rows while this rule runs, so its posting
+    // lists and rows are read in place and slots point into its arena.
     // Two kinds are not stable: the rule's own sink (direct recursion), and
     // a tabled relation from the pattern resolver, which deeper probes may
-    // extend. Inserts made deeper in the recursion can invalidate
-    // references into those, so they copy posting lists and tuples, and
-    // the slots point into the copy.
+    // extend. An insert made deeper in the recursion can grow their arena
+    // and posting lists, so the posting list is copied and each row is
+    // copied into this depth's buffer before the slots point into it.
     if (!tabled && rel != out_) {
       if (keyed) {
-        for (uint32_t id : rel->Lookup(probe.key_cols, keys_[depth])) {
+        for (uint32_t id : rel->Lookup(*index, keys_[depth])) {
           LDL_RETURN_NOT_OK(TryTuple(step, depth, rel->tuple(id)));
         }
         return Status::OK();
       }
-      for (const Tuple& t : rel->tuples()) {
-        LDL_RETURN_NOT_OK(TryTuple(step, depth, t));
+      for (size_t i = 0, n = rel->size(); i < n; ++i) {
+        LDL_RETURN_NOT_OK(TryTuple(step, depth, rel->tuple(i)));
       }
       return Status::OK();
     }
+    RowCopy& copy = copies_[depth];
     if (keyed) {
-      std::vector<uint32_t> ids = rel->Lookup(probe.key_cols, keys_[depth]);
-      for (uint32_t id : ids) {
-        const Tuple t = rel->tuple(id);
-        LDL_RETURN_NOT_OK(TryTuple(step, depth, t));
+      const std::span<const uint32_t> ids = rel->Lookup(*index, keys_[depth]);
+      copy.ids.assign(ids.begin(), ids.end());
+      for (uint32_t id : copy.ids) {
+        LDL_RETURN_NOT_OK(TryTuple(step, depth, copy.Take(rel->tuple(id))));
       }
       return Status::OK();
     }
-    for (size_t i = 0, n = rel->tuples().size(); i < n; ++i) {
-      const Tuple t = rel->tuple(i);
-      LDL_RETURN_NOT_OK(TryTuple(step, depth, t));
+    for (size_t i = 0, n = rel->size(); i < n; ++i) {
+      LDL_RETURN_NOT_OK(TryTuple(step, depth, copy.Take(rel->tuple(i))));
     }
     return Status::OK();
   }
+
+  /// A depth's private copies for reading a relation that may grow.
+  struct RowCopy {
+    std::vector<uint32_t> ids;  ///< the posting list being walked
+    Tuple row;                  ///< the row being matched
+
+    TupleView Take(TupleView stored) {
+      row.assign(stored.begin(), stored.end());
+      return row;
+    }
+  };
 
   const CompiledBody& body_;
   const RelationResolver& resolve_;
@@ -588,7 +621,11 @@ class RuleEvaluator {
   const RuleEvalOptions& options_;
   Slots slots_;
   std::vector<Tuple> keys_;  ///< per position: index or negation key
+  Tuple head_;               ///< the head row being emitted
+  std::vector<RowCopy> copies_;  ///< per position
   std::vector<Relation*> resolved_;
+  /// Per resolved position: the handle of its index, looked up once.
+  std::vector<Relation::Index*> indexes_;
   std::vector<bool> resolved_done_;
   size_t inserted_ = 0;
   size_t since_check_ = 0;  ///< examined tuples since the last check-point
@@ -622,7 +659,7 @@ Relation SelectMatching(Relation* rel, const Literal& goal) {
   const ProbeCode probe = CompileProbe(goal, args, &table);
   Slots slots(table.size(), nullptr);
   auto consider = [&](uint32_t id) {
-    const Tuple& t = rel->tuple(id);
+    const TupleView t = rel->tuple(id);
     if (MatchColumns(probe, t, &slots)) {
       out.AppendUnchecked(t, rel->tuple_hash(id));
     }

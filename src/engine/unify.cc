@@ -39,7 +39,7 @@ Term Substitution::Apply(const Term& t) const {
         args.push_back(std::move(applied));
       }
       if (!changed) return t;
-      return Term::MakeFunction(t.text(), std::move(args));
+      return t.WithArgs(std::move(args));
     }
     default:
       return t;

@@ -27,7 +27,7 @@ Rule StandardizeApart(const Rule& rule) {
             std::vector<Term> args;
             args.reserve(t.args().size());
             for (const Term& a : t.args()) args.push_back((*this)(a));
-            return Term::MakeFunction(t.text(), std::move(args));
+            return t.WithArgs(std::move(args));
           }
           default:
             return t;
@@ -286,7 +286,7 @@ std::optional<Result<Relation>> TreeInterpreter::TryHashJoin(
         if (!inserted) {
           // diagonal: keep tuples where both columns agree
           Relation filtered(input.name(), input.arity());
-          for (const Tuple& t : input.tuples()) {
+          for (TupleView t : input.tuples()) {
             counters_.tuples_examined++;
             if (t[it->second] == t[c]) filtered.Insert(t);
           }
@@ -325,10 +325,10 @@ std::optional<Result<Relation>> TreeInterpreter::TryHashJoin(
     out.Insert(std::move(t));
     return Result<Relation>(std::move(out));
   }
-  for (const Tuple& t : acc.tuples()) {
+  Tuple h;
+  for (TupleView t : acc.tuples()) {
     counters_.tuples_examined++;
-    Tuple h;
-    h.reserve(specialized.head().arity());
+    h.clear();
     bool ok = true;
     for (const Term& a : specialized.head().args()) {
       if (a.kind() == TermKind::kVariable) {
@@ -344,7 +344,7 @@ std::optional<Result<Relation>> TreeInterpreter::TryHashJoin(
     }
     if (ok) {
       counters_.derivations++;
-      out.Insert(std::move(h));
+      out.Insert(h);
     }
   }
   counters_.inserts += out.size();

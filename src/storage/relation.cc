@@ -5,7 +5,7 @@
 
 namespace ldl {
 
-std::string TupleToString(const Tuple& t) {
+std::string TupleToString(TupleView t) {
   std::ostringstream os;
   os << '(';
   bool first = true;
@@ -19,33 +19,42 @@ std::string TupleToString(const Tuple& t) {
 }
 
 size_t ApproxTermBytes(const Term& t) {
-  size_t n = sizeof(Term) + t.text().size();
-  if (t.IsFunction()) {
-    for (const Term& a : t.args()) n += ApproxTermBytes(a);
-  }
+  if (!t.IsFunction()) return 0;
+  size_t n = sizeof(FunctionNode) + t.arity() * sizeof(Term);
+  for (const Term& a : t.args()) n += ApproxTermBytes(a);
   return n;
 }
 
-size_t ApproxTupleBytes(const Tuple& t) {
-  size_t n = sizeof(Tuple);
+size_t ApproxTupleBytes(TupleView t) {
+  size_t n = t.size() * sizeof(Term);
   for (const Term& v : t) n += ApproxTermBytes(v);
   return n;
 }
 
 namespace {
 
-// Per-tuple overhead of the dedup set: the cached hash plus one slot id.
+// Per-row overhead of the dedup set: the cached hash plus one slot id.
 constexpr size_t kDedupEntryBytes = sizeof(size_t) + sizeof(uint32_t);
+// Per-key overhead of an index: a dedup entry, the representative row id
+// and the posting list's vector header.
+constexpr size_t kIndexKeyBytes =
+    kDedupEntryBytes + sizeof(uint32_t) + sizeof(std::vector<uint32_t>);
+
+/// TupleHash of row `row`'s values at `cols`.
+size_t KeyHash(const Term* row, const std::vector<int>& cols) {
+  size_t seed = cols.size();
+  for (int c : cols) HashCombine(&seed, Mix64(row[c].Hash()));
+  return seed;
+}
 
 }  // namespace
 
 uint64_t Relation::EstimateBytes() const {
-  uint64_t n = 0;
-  for (const Tuple& t : tuples_) n += ApproxTupleBytes(t) + kDedupEntryBytes;
+  uint64_t n = rows_ * kDedupEntryBytes;
+  for (size_t i = 0; i < rows_; ++i) n += ApproxTupleBytes(tuple(i));
   for (const auto& [cols, index] : indexes_) {
-    for (const auto& [key, postings] : index.postings) {
-      n += ApproxTupleBytes(key) + postings.size() * sizeof(uint32_t);
-    }
+    n += index.keys.size() * kIndexKeyBytes +
+         index.built_upto * sizeof(uint32_t);
   }
   return n;
 }
@@ -66,25 +75,36 @@ void Relation::set_accountant(ResourceAccountant* accountant) {
   }
 }
 
-bool Relation::Insert(Tuple t) {
-  const size_t hash = TupleHash{}(t);
-  return InsertHashed(std::move(t), hash);
+void Relation::AppendRow(const Term* t, bool move) {
+  // `t` never points into this arena: a stored row is never new to it.
+  if (move) {
+    Term* src = const_cast<Term*>(t);
+    for (size_t c = 0; c < arity_; ++c) cells_.push_back(std::move(src[c]));
+  } else {
+    for (size_t c = 0; c < arity_; ++c) cells_.push_back(t[c]);
+  }
+  ++rows_;
 }
 
-bool Relation::InsertHashed(Tuple t, size_t hash) {
+bool Relation::Insert(TupleView t) {
+  return InsertHashed(t, TupleHash{}(t));
+}
+
+bool Relation::InsertHashed(TupleView t, size_t hash) {
   assert(t.size() == arity_ && "tuple arity mismatch");
   if (t.size() != arity_) return false;
-  if (!dedup_.Insert(hash, [&](uint32_t id) { return tuples_[id] == t; })) {
+  if (!dedup_.Insert(hash, [&](uint32_t id) { return tuple(id) == t; })) {
     return false;
   }
   if (accountant_ != nullptr) {
     ChargeDelta(ApproxTupleBytes(t) + kDedupEntryBytes, 0);
   }
-  tuples_.push_back(std::move(t));
+  AppendRow(t.data(), false);
   return true;
 }
 
 size_t Relation::InsertAll(const Relation& other) {
+  if (&other == this) return 0;
   size_t added = 0;
   for (size_t i = 0; i < other.size(); ++i) {
     if (InsertHashed(other.tuple(i), other.tuple_hash(i))) ++added;
@@ -93,78 +113,97 @@ size_t Relation::InsertAll(const Relation& other) {
 }
 
 size_t Relation::MergeFrom(Relation&& src, Relation* delta) {
-  assert(&src != this && delta != this && "MergeFrom needs distinct relations");
+  assert(delta != this && "MergeFrom cannot use the target as its delta");
+  if (&src == this) return 0;
+  assert(src.arity_ == arity_ && "MergeFrom arity mismatch");
   size_t added = 0;
   for (size_t i = 0; i < src.size(); ++i) {
     const size_t hash = src.tuple_hash(i);
-    const size_t id = tuples_.size();
-    if (!InsertHashed(std::move(src.tuples_[i]), hash)) continue;
-    if (delta != nullptr) delta->AppendUnchecked(tuples_[id], hash);
+    const TupleView row = src.tuple(i);
+    if (!dedup_.Insert(hash, [&](uint32_t id) { return tuple(id) == row; })) {
+      continue;
+    }
+    if (accountant_ != nullptr) {
+      ChargeDelta(ApproxTupleBytes(row) + kDedupEntryBytes, 0);
+    }
+    AppendRow(row.data(), true);
+    if (delta != nullptr) delta->AppendUnchecked(tuple(rows_ - 1), hash);
     ++added;
   }
-  src.tuples_.clear();
-  src.dedup_.Clear();
-  src.indexes_.clear();
+  src.DropRows();
   return added;
 }
 
-void Relation::AppendUnchecked(Tuple t, size_t hash) {
+void Relation::AppendUnchecked(TupleView t, size_t hash) {
   assert(t.size() == arity_ && "tuple arity mismatch");
   assert(!ContainsHashed(t, hash) && "AppendUnchecked requires a new tuple");
   dedup_.Append(hash);
   if (accountant_ != nullptr) {
     ChargeDelta(ApproxTupleBytes(t) + kDedupEntryBytes, 0);
   }
-  tuples_.push_back(std::move(t));
+  AppendRow(t.data(), false);
 }
 
-bool Relation::Contains(const Tuple& t) const {
+bool Relation::Contains(TupleView t) const {
   return ContainsHashed(t, TupleHash{}(t));
 }
 
-bool Relation::ContainsHashed(const Tuple& t, size_t hash) const {
-  return dedup_.Find(hash, [&](uint32_t id) { return tuples_[id] == t; }) !=
+bool Relation::ContainsHashed(TupleView t, size_t hash) const {
+  return dedup_.Find(hash, [&](uint32_t id) { return tuple(id) == t; }) !=
          RowIdSet::kAbsent;
 }
 
 void Relation::Clear() {
   ChargeDelta(0, charged_bytes_);
-  tuples_.clear();
-  dedup_.Clear();
-  indexes_.clear();
+  DropRows();
 }
 
-namespace {
-// Shared "no match" posting list. Immutable after thread-safe static init,
-// so relations of independent LdlSystems on different threads may all
-// return it (the reentrancy contract in engine/builtins.h).
-const std::vector<uint32_t>& EmptyPostings() {
-  static const auto* empty = new std::vector<uint32_t>();
-  return *empty;
-}
-}  // namespace
-
-const std::vector<uint32_t>& Relation::Lookup(const std::vector<int>& cols,
-                                              const Tuple& key) {
-  Index& index = indexes_[cols];
-  if (index.built_upto < tuples_.size()) ExtendIndex(cols, &index);
-  auto it = index.postings.find(key);
-  return it == index.postings.end() ? EmptyPostings() : it->second;
+Relation::Index& Relation::IndexOn(const std::vector<int>& cols) {
+  auto [it, fresh] = indexes_.try_emplace(cols);
+  if (fresh) it->second.cols = cols;
+  return it->second;
 }
 
-void Relation::ExtendIndex(const std::vector<int>& cols, Index* index) {
-  uint64_t added_bytes = 0;
-  for (size_t id = index->built_upto; id < tuples_.size(); ++id) {
-    Tuple key;
-    key.reserve(cols.size());
-    for (int c : cols) key.push_back(tuples_[id][c]);
-    if (accountant_ != nullptr) {
-      added_bytes += ApproxTupleBytes(key) + sizeof(uint32_t);
+std::span<const uint32_t> Relation::Lookup(Index& index, TupleView key) {
+  if (index.built_upto < rows_) ExtendIndex(&index);
+  const std::vector<int>& cols = index.cols;
+  const uint32_t k = index.keys.Find(TupleHash{}(key), [&](uint32_t id) {
+    const Term* row = cells_.data() + index.rep[id] * arity_;
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (!(row[cols[i]] == key[i])) return false;
     }
-    index->postings[std::move(key)].push_back(static_cast<uint32_t>(id));
+    return true;
+  });
+  if (k == RowIdSet::kAbsent) return {};
+  return index.postings[k];
+}
+
+void Relation::ExtendIndex(Index* index) {
+  const std::vector<int>& cols = index->cols;
+  const size_t keys_before = index->keys.size();
+  for (size_t id = index->built_upto; id < rows_; ++id) {
+    const Term* row = cells_.data() + id * arity_;
+    bool added;
+    const uint32_t k =
+        index->keys.FindOrAdd(KeyHash(row, cols), [&](uint32_t key_id) {
+          const Term* rep = cells_.data() + index->rep[key_id] * arity_;
+          for (int c : cols) {
+            if (!(rep[c] == row[c])) return false;
+          }
+          return true;
+        }, &added);
+    if (added) {
+      index->rep.push_back(static_cast<uint32_t>(id));
+      index->postings.emplace_back();
+    }
+    index->postings[k].push_back(static_cast<uint32_t>(id));
   }
-  index->built_upto = tuples_.size();
-  ChargeDelta(added_bytes, 0);
+  if (accountant_ != nullptr) {
+    ChargeDelta((index->keys.size() - keys_before) * kIndexKeyBytes +
+                    (rows_ - index->built_upto) * sizeof(uint32_t),
+                0);
+  }
+  index->built_upto = rows_;
 }
 
 std::vector<size_t> Relation::DistinctCounts() const {
@@ -177,7 +216,8 @@ std::vector<size_t> Relation::DistinctCounts() const {
   std::vector<Value> values;
   RowIdSet seen;
   std::vector<size_t> counts(arity_, 0);
-  for (const Tuple& t : tuples_) {
+  for (size_t i = 0; i < rows_; ++i) {
+    const TupleView t = tuple(i);
     for (size_t c = 0; c < arity_; ++c) {
       size_t hash = c;
       HashCombine(&hash, Mix64(t[c].Hash()));
@@ -195,13 +235,12 @@ std::vector<size_t> Relation::DistinctCounts() const {
 std::string Relation::ToString(size_t max_tuples) const {
   std::ostringstream os;
   os << name_ << '/' << arity_ << " [" << size() << " tuples]";
-  size_t shown = 0;
-  for (const Tuple& t : tuples_) {
-    if (shown++ >= max_tuples) {
+  for (size_t i = 0; i < rows_; ++i) {
+    if (i >= max_tuples) {
       os << "\n  ...";
       break;
     }
-    os << "\n  " << TupleToString(t);
+    os << "\n  " << TupleToString(tuple(i));
   }
   return os.str();
 }

@@ -39,17 +39,29 @@ class RowIdSet {
     return slot == 0 ? kAbsent : slot - 1;
   }
 
+  /// Id of the stored row with `hash` for which `same(id)` holds; if there
+  /// is none, adds row id size() with `hash` and returns it. `*added` tells
+  /// which; after an add the caller appends the row itself.
+  template <typename Same>
+  uint32_t FindOrAdd(size_t hash, Same same, bool* added) {
+    ReserveOneMore();
+    const size_t i = Probe(hash, same);
+    *added = slots_[i] == 0;
+    if (*added) {
+      slots_[i] = static_cast<uint32_t>(hashes_.size() + 1);
+      hashes_.push_back(hash);
+    }
+    return slots_[i] - 1;
+  }
+
   /// Adds row id size() with `hash` unless a stored row with that hash
   /// satisfies `same(id)`. Returns true iff the id was added; the caller
   /// then appends the row itself.
   template <typename Same>
   bool Insert(size_t hash, Same same) {
-    ReserveOneMore();
-    const size_t i = Probe(hash, same);
-    if (slots_[i] != 0) return false;
-    slots_[i] = static_cast<uint32_t>(hashes_.size() + 1);
-    hashes_.push_back(hash);
-    return true;
+    bool added;
+    FindOrAdd(hash, same, &added);
+    return added;
   }
 
   /// Adds row id size() with `hash` for a row the caller knows is absent.

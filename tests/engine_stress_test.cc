@@ -26,11 +26,7 @@ Literal L(const char* text) {
   return *r;
 }
 
-std::vector<Tuple> Sorted(const Relation& r) {
-  std::vector<Tuple> out = r.tuples();
-  std::sort(out.begin(), out.end());
-  return out;
-}
+std::vector<Tuple> Sorted(const Relation& r) { return CanonicalAnswers(r); }
 
 constexpr const char* kTc = R"(
   tc(X, Y) <- edge(X, Y).

@@ -35,11 +35,7 @@ constexpr const char* kSgRules = R"(
   sg(X, Y) <- up(X, X1), sg(X1, Y1), dn(Y1, Y).
 )";
 
-std::vector<Tuple> Sorted(const Relation& r) {
-  std::vector<Tuple> out = r.tuples();
-  std::sort(out.begin(), out.end());
-  return out;
-}
+std::vector<Tuple> Sorted(const Relation& r) { return CanonicalAnswers(r); }
 
 TEST(FixpointTest, TransitiveClosureOnChain) {
   Program p = P(kAncestorRules);
@@ -189,7 +185,7 @@ TEST(FixpointTest, ComplexTermsFlowThroughRecursion) {
   ASSERT_NE(path, nullptr);
   EXPECT_EQ(path->size(), 3u);
   bool found = false;
-  for (const Tuple& t : path->tuples()) {
+  for (TupleView t : path->tuples()) {
     if (t[2].ToString() == "[1, 2, 3]") found = true;
   }
   EXPECT_TRUE(found);

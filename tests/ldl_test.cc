@@ -4,16 +4,13 @@
 
 #include <algorithm>
 
+#include "engine/query_eval.h"
 #include "testing/workloads.h"
 
 namespace ldl {
 namespace {
 
-std::vector<Tuple> Sorted(const Relation& r) {
-  std::vector<Tuple> out = r.tuples();
-  std::sort(out.begin(), out.end());
-  return out;
-}
+std::vector<Tuple> Sorted(const Relation& r) { return CanonicalAnswers(r); }
 
 TEST(LdlSystemTest, QuickstartAncestor) {
   LdlSystem sys;

@@ -237,9 +237,7 @@ TEST(CountingRewriteTest, DagDataCountsLevelsCorrectly) {
   ASSERT_TRUE(counting.ok()) << counting.status();
   ASSERT_TRUE(magic.ok());
   auto sorted = [](const Relation& r) {
-    std::vector<Tuple> t = r.tuples();
-    std::sort(t.begin(), t.end());
-    return t;
+    return CanonicalAnswers(r);
   };
   EXPECT_EQ(sorted(counting->answers), sorted(magic->answers));
 }
@@ -278,9 +276,7 @@ TEST(MagicRewriteTest, NegatedDerivedLiteralSeesCompleteRelation) {
   ASSERT_TRUE(magic.ok()) << magic.status();
   ASSERT_TRUE(semi.ok());
   auto sorted = [](const Relation& r) {
-    std::vector<Tuple> t = r.tuples();
-    std::sort(t.begin(), t.end());
-    return t;
+    return CanonicalAnswers(r);
   };
   EXPECT_EQ(sorted(magic->answers), sorted(semi->answers));
   EXPECT_EQ(magic->answers.size(), 2u);  // 4 and 5

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "base/rng.h"
+#include "engine/query_eval.h"
 #include "testing/workloads.h"
 
 namespace ldl {
@@ -14,11 +15,7 @@ Tuple Pair(int64_t a, int64_t b) {
   return {Term::MakeInt(a), Term::MakeInt(b)};
 }
 
-std::vector<Tuple> Sorted(const Relation& r) {
-  std::vector<Tuple> out = r.tuples();
-  std::sort(out.begin(), out.end());
-  return out;
-}
+std::vector<Tuple> Sorted(const Relation& r) { return CanonicalAnswers(r); }
 
 TEST(OperatorsTest, Select) {
   Relation r("r", 2);

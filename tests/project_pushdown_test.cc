@@ -24,11 +24,7 @@ Literal L(const char* text) {
   return *r;
 }
 
-std::vector<Tuple> Sorted(const Relation& r) {
-  std::vector<Tuple> out = r.tuples();
-  std::sort(out.begin(), out.end());
-  return out;
-}
+std::vector<Tuple> Sorted(const Relation& r) { return CanonicalAnswers(r); }
 
 TEST(ProjectPushdownTest, DropsDeadRecursiveArgument) {
   // reachable(X) only cares about anc's first argument; the second is dead

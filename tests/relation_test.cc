@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "storage/database.h"
@@ -15,6 +17,13 @@ namespace {
 
 Tuple Pair(int64_t a, int64_t b) {
   return {Term::MakeInt(a), Term::MakeInt(b)};
+}
+
+/// Owned copies of every row, in row id order.
+std::vector<Tuple> AllRows(const Relation& r) {
+  std::vector<Tuple> out;
+  for (TupleView t : r.tuples()) out.push_back(ToTuple(t));
+  return out;
 }
 
 TEST(RelationTest, InsertDeduplicates) {
@@ -105,7 +114,7 @@ TEST(RelationTest, DistinctCount) {
   // Same counts as an ordered set of copied values per column.
   for (size_t c = 0; c < 2; ++c) {
     std::set<Term> values;
-    for (const Tuple& t : m.tuples()) values.insert(t[c]);
+    for (TupleView t : m.tuples()) values.insert(t[c]);
     EXPECT_EQ(m.DistinctCounts()[c], values.size()) << "column " << c;
   }
   EXPECT_EQ(Relation("empty", 3).DistinctCounts(),
@@ -157,13 +166,14 @@ TEST(RelationTest, GrowthKeepsIdsOrderAndPostings) {
   for (int64_t i = 1; i < kN; ++i) ASSERT_TRUE(r.Insert(Pair(i % 7, i)));
   ASSERT_EQ(r.size(), static_cast<size_t>(kN));
   for (int64_t i = 0; i < kN; ++i) {
-    const Tuple& t = r.tuple(i);
+    const TupleView t = r.tuple(i);
     EXPECT_EQ(t[1].int_value(), i);
     EXPECT_EQ(r.tuple_hash(i), TupleHash{}(t));
     EXPECT_FALSE(r.Insert(t));
   }
   // The index built before growth was extended in id order.
-  const std::vector<uint32_t> ids = r.Lookup({0}, {Term::MakeInt(3)});
+  const std::span<const uint32_t> found = r.Lookup({0}, {Term::MakeInt(3)});
+  const std::vector<uint32_t> ids(found.begin(), found.end());
   std::vector<uint32_t> expected = {0};
   for (int64_t i = 1; i < kN; ++i) {
     if (i % 7 == 3) expected.push_back(static_cast<uint32_t>(i));
@@ -222,9 +232,9 @@ TEST(RelationTest, MergeFromMovesNewTuplesAndFillsDelta) {
     const uint64_t src_bytes = src.charged_bytes();
 
     EXPECT_EQ(full.MergeFrom(std::move(src), &delta), 3u);
-    EXPECT_EQ(full.tuples(), (std::vector<Tuple>{Pair(1, 1), Pair(0, 0),
+    EXPECT_EQ(AllRows(full), (std::vector<Tuple>{Pair(1, 1), Pair(0, 0),
                                                  Pair(2, 2), Pair(3, 3)}));
-    EXPECT_EQ(delta.tuples(),
+    EXPECT_EQ(AllRows(delta),
               (std::vector<Tuple>{Pair(0, 0), Pair(2, 2), Pair(3, 3)}));
     for (size_t i = 0; i < full.size(); ++i) {
       EXPECT_EQ(full.tuple_hash(i), TupleHash{}(full.tuple(i)));
@@ -236,6 +246,131 @@ TEST(RelationTest, MergeFromMovesNewTuplesAndFillsDelta) {
                                         delta.charged_bytes() + src_bytes);
   }
   EXPECT_EQ(acct.current_bytes(), 0u);
+}
+
+TEST(RelationTest, ZeroArityRowsLiveWithoutAnArena) {
+  Relation r("flag", 0);
+  EXPECT_FALSE(r.Contains({}));
+  EXPECT_TRUE(r.empty());
+  EXPECT_TRUE(r.Insert({}));
+  EXPECT_FALSE(r.Insert(Tuple{}));
+  EXPECT_FALSE(r.InsertHashed(Tuple{}, TupleHash{}(Tuple{})));
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_TRUE(r.Contains({}));
+  EXPECT_EQ(r.tuple(0).size(), 0u);
+  EXPECT_EQ(r.tuple_hash(0), TupleHash{}(Tuple{}));
+  EXPECT_EQ(TupleToString(r.tuple(0)), "()");
+
+  Relation other("flag", 0);
+  Relation delta("flag", 0);
+  EXPECT_EQ(other.InsertAll(r), 1u);
+  EXPECT_EQ(other.InsertAll(r), 0u);
+  Relation src("flag", 0);
+  src.Insert({});
+  Relation fresh("flag", 0);
+  EXPECT_EQ(fresh.MergeFrom(std::move(src), &delta), 1u);
+  EXPECT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(delta.size(), 1u);
+  EXPECT_TRUE(delta.Contains({}));
+  r.Clear();
+  EXPECT_TRUE(r.empty());
+  EXPECT_FALSE(r.Contains({}));
+}
+
+// Function terms and lists are column values like any other: stored rows
+// share their nodes, dedup compares them structurally, and an index keyed
+// on a function-term column finds them. 1 and 1.0 stay distinct values.
+TEST(RelationTest, FunctionTermColumnsDedupAndIndex) {
+  Relation r("p", 2);
+  const char* const rows[][2] = {
+      {"f(1)", "a"},          {"f(1.0)", "a"},     {"f(1)", "b"},
+      {"[1, 2]", "a"},        {"[1, 2 | T]", "a"}, {"g(f(1), [x])", "c"},
+      {"g(f(1), [x])", "d"},  {"1", "a"},          {"1.0", "a"},
+  };
+  for (const auto& row : rows) {
+    EXPECT_TRUE(r.Insert({T(row[0]), T(row[1])})) << row[0];
+  }
+  for (const auto& row : rows) {
+    // Freshly parsed terms: equal structure, different nodes.
+    EXPECT_FALSE(r.Insert({T(row[0]), T(row[1])})) << row[0];
+    EXPECT_TRUE(r.Contains({T(row[0]), T(row[1])})) << row[0];
+  }
+  ASSERT_EQ(r.size(), 9u);
+  EXPECT_FALSE(r.Contains({T("f(2)"), T("a")}));
+  EXPECT_FALSE(r.Contains({T("[1, 2, 3]"), T("a")}));
+
+  auto rows_of = [&](const char* key) {
+    std::vector<std::string> out;
+    for (uint32_t id : r.Lookup({0}, {T(key)})) {
+      out.push_back(TupleToString(r.tuple(id)));
+    }
+    return out;
+  };
+  EXPECT_EQ(rows_of("f(1)"),
+            (std::vector<std::string>{"(f(1), a)", "(f(1), b)"}));
+  EXPECT_EQ(rows_of("f(1.0)"), (std::vector<std::string>{"(f(1), a)"}));
+  EXPECT_EQ(rows_of("g(f(1), [x])"),
+            (std::vector<std::string>{"(g(f(1), [x]), c)",
+                                      "(g(f(1), [x]), d)"}));
+  EXPECT_EQ(rows_of("[1, 2]"), (std::vector<std::string>{"([1, 2], a)"}));
+  EXPECT_EQ(rows_of("1"), (std::vector<std::string>{"(1, a)"}));
+  EXPECT_EQ(rows_of("1.0"), (std::vector<std::string>{"(1, a)"}));
+  EXPECT_TRUE(rows_of("f(2)").empty());
+  EXPECT_EQ(r.Lookup({0, 1}, {T("f(1.0)"), T("a")}).size(), 1u);
+  EXPECT_TRUE(r.Lookup({0, 1}, {T("f(1.0)"), T("b")}).empty());
+}
+
+TEST(RelationTest, MergingOrInsertingARelationIntoItselfAddsNothing) {
+  ResourceAccountant acct;
+  Relation r("p", 2);
+  r.set_accountant(&acct);
+  for (int64_t i = 0; i < 40; ++i) r.Insert(Pair(i, i % 3));
+  const uint64_t bytes = r.charged_bytes();
+  EXPECT_EQ(r.InsertAll(r), 0u);
+  Relation delta("p", 2);
+  EXPECT_EQ(r.MergeFrom(std::move(r), &delta), 0u);  // NOLINT
+  EXPECT_EQ(r.size(), 40u);                          // NOLINT
+  EXPECT_TRUE(delta.empty());
+  EXPECT_EQ(r.charged_bytes(), bytes);
+  for (int64_t i = 0; i < 40; ++i) EXPECT_TRUE(r.Contains(Pair(i, i % 3)));
+  // A stored row offered back to its own relation is a duplicate.
+  for (size_t i = 0; i < r.size(); ++i) EXPECT_FALSE(r.Insert(r.tuple(i)));
+  EXPECT_EQ(acct.current_bytes(), bytes);
+}
+
+// Every index must keep matching a brute-force scan while the relation
+// grows in rounds past the rows it was built on, including function-term
+// keys and several indexes on one relation.
+TEST(RelationTest, PostingListsFollowGrowthPastTheIndexedRows) {
+  Relation r("p", 3);
+  auto row = [](int64_t i) {
+    return Tuple{Term::MakeInt(i % 5),
+                 Term::MakeFunction("k", {Term::MakeInt(i % 7)}),
+                 Term::MakeInt(i)};
+  };
+  const std::vector<std::vector<int>> index_cols = {{0}, {1}, {0, 1}};
+  int64_t next = 0;
+  for (int64_t round_end : {3, 20, 150, 1200, 4000}) {
+    for (; next < round_end; ++next) ASSERT_TRUE(r.Insert(row(next)));
+    for (const std::vector<int>& cols : index_cols) {
+      for (int64_t probe = 0; probe < 35; ++probe) {
+        const Tuple full = row(probe);
+        Tuple key;
+        for (int c : cols) key.push_back(full[c]);
+        std::vector<uint32_t> expected;
+        for (uint32_t id = 0; id < r.size(); ++id) {
+          bool match = true;
+          for (size_t k = 0; k < cols.size(); ++k) {
+            match = match && r.tuple(id)[cols[k]] == key[k];
+          }
+          if (match) expected.push_back(id);
+        }
+        const std::span<const uint32_t> got = r.Lookup(cols, key);
+        EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), expected)
+            << "after " << r.size() << " rows, key " << TupleToString(key);
+      }
+    }
+  }
 }
 
 TEST(DatabaseTest, GetOrCreateAndFacts) {

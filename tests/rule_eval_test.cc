@@ -55,7 +55,7 @@ Outcome Eval(const Rule& rule, Database* db,
       EvaluateRule(rule, DatabaseResolver(db), &out, &run.counters, options);
   run.status = added.status();
   if (added.ok()) run.added = *added;
-  for (const Tuple& t : out.tuples()) run.rows.push_back(TupleToString(t));
+  for (TupleView t : out.tuples()) run.rows.push_back(TupleToString(t));
   std::sort(run.rows.begin(), run.rows.end());
   return run;
 }
@@ -383,7 +383,7 @@ Literal L(const char* text) {
 
 std::vector<std::string> Rendered(const Relation& rel) {
   std::vector<std::string> rows;
-  for (const Tuple& t : rel.tuples()) rows.push_back(TupleToString(t));
+  for (TupleView t : rel.tuples()) rows.push_back(TupleToString(t));
   return rows;
 }
 
@@ -421,10 +421,58 @@ TEST(SelectMatchingTest, ResultIsASetThatContainsFinds) {
   Relation rel = MixedRelation();
   Relation picked = SelectMatching(&rel, L("m(1, Y, Z)"));
   ASSERT_EQ(picked.size(), 4u);
-  for (const Tuple& t : picked.tuples()) EXPECT_TRUE(picked.Contains(t));
+  for (TupleView t : picked.tuples()) EXPECT_TRUE(picked.Contains(t));
   EXPECT_FALSE(picked.Contains(rel.tuple(2)));
   EXPECT_FALSE(picked.Insert(rel.tuple(0)));
   EXPECT_TRUE(picked.Insert(rel.tuple(2)));
+}
+
+// A directly recursive rule evaluated into one of its own body relations:
+// the sink gains rows while the rule still reads them. With the edges
+// scanned first, in ascending order, each keyed probe of the sink sees the
+// paths this call derived for the previous edge, so one call derives the
+// whole closure and the sink's arena is reallocated many times inside it.
+// With the sink scanned first, each call extends paths by one edge.
+// Either way, repeating the call until it adds nothing must reach the
+// transitive closure.
+TEST(RuleEvalSemanticsTest, RuleReadingItsOwnGrowingSink) {
+  constexpr int64_t kNodes = 150;
+  const Rule rule = R("reach(X, Z) <- reach(X, Y), edge(Y, Z).");
+  for (const std::vector<size_t>& order :
+       {std::vector<size_t>{1, 0}, std::vector<size_t>{0, 1}}) {
+    Database db;
+    Relation* edge = db.GetOrCreate({"edge", 2});
+    Relation* reach = db.GetOrCreate({"reach", 2});
+    for (int64_t i = 0; i + 1 < kNodes; ++i) {
+      edge->Insert({Term::MakeInt(i), Term::MakeInt(i + 1)});
+      reach->Insert({Term::MakeInt(i), Term::MakeInt(i + 1)});
+    }
+    RuleEvalOptions options;
+    options.order = order;
+    EvalCounters counters;
+    std::vector<size_t> added_per_call;
+    while (added_per_call.empty() || added_per_call.back() != 0) {
+      auto added = EvaluateRule(rule, DatabaseResolver(&db), reach,
+                                &counters, options);
+      ASSERT_TRUE(added.ok()) << added.status();
+      added_per_call.push_back(*added);
+    }
+    const size_t closure = kNodes * (kNodes - 1) / 2;
+    EXPECT_EQ(reach->size(), closure) << "order " << order[0];
+    for (int64_t i = 0; i < kNodes; ++i) {
+      for (int64_t j = i + 1; j < kNodes; ++j) {
+        ASSERT_TRUE(reach->Contains({Term::MakeInt(i), Term::MakeInt(j)}))
+            << i << " -> " << j;
+      }
+    }
+    if (order[0] == 1) {
+      // Keyed probes of the sink see the rows this very call inserted.
+      EXPECT_EQ(added_per_call,
+                (std::vector<size_t>{closure - (kNodes - 1), 0}));
+    } else {
+      EXPECT_EQ(added_per_call.size(), static_cast<size_t>(kNodes - 1));
+    }
+  }
 }
 
 TEST(AnswerFingerprintTest, MixedKindRelationIsStable) {

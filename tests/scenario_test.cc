@@ -8,6 +8,7 @@
 #include <set>
 #include <thread>
 
+#include "base/strings.h"
 #include "ldl/ldl.h"
 #include "testing/workloads.h"
 
@@ -16,7 +17,7 @@ namespace {
 
 std::set<std::string> AnswerSet(const Relation& r) {
   std::set<std::string> out;
-  for (const Tuple& t : r.tuples()) out.insert(TupleToString(t));
+  for (TupleView t : r.tuples()) out.insert(TupleToString(t));
   return out;
 }
 
@@ -52,7 +53,7 @@ TEST(ScenarioTest, FlightRoutesWithCosts) {
   auto answer = sys.Query("affordable(sfo, B)");
   ASSERT_TRUE(answer.ok()) << answer.status();
   std::set<std::string> cities;
-  for (const Tuple& t : answer->answers.tuples()) {
+  for (TupleView t : answer->answers.tuples()) {
     cities.insert(t[1].ToString());
   }
   // lax (99 direct), jfk (399 one-stop / 450 direct), sfo (198 round trip).
@@ -87,7 +88,7 @@ TEST(ScenarioTest, RouteAccumulationTerminatesViaGuard) {
   ASSERT_TRUE(answer.ok()) << answer.status();
   // Lengths 2, 5, 8 reach c from a on the 3-cycle.
   std::set<int64_t> lengths;
-  for (const Tuple& t : answer->answers.tuples()) {
+  for (TupleView t : answer->answers.tuples()) {
     lengths.insert(t[2].int_value());
   }
   EXPECT_EQ(lengths, (std::set<int64_t>{2, 5, 8}));
@@ -190,7 +191,7 @@ TEST(ScenarioTest, SameGenerationCousins) {
   // Every answer is at the same depth: verify by checking membership of the
   // probe itself (ring flat links make sg reflexive-ish via cycles of ups
   // and downs only at matched depth).
-  for (const Tuple& t : a1->answers.tuples()) {
+  for (TupleView t : a1->answers.tuples()) {
     EXPECT_EQ(t[0].int_value(), static_cast<int64_t>(nodes - 1));
   }
 }
@@ -267,6 +268,84 @@ TEST(ScenarioTest, ConcurrentIndependentSystems) {
     run(fanout, 1, &quiet, &ok);
     ASSERT_TRUE(ok);
     EXPECT_EQ(*rows, quiet) << "fanout " << fanout;
+  }
+}
+
+// Interned text is the one piece of process-wide mutable state (the
+// reentrancy contract in engine/builtins.h). Four systems on four threads
+// load programs whose symbols are partly shared and partly private to the
+// thread, and query them; every answer must be right, and a text interned
+// on one thread must be the same value on every other.
+TEST(ScenarioTest, ConcurrentSystemsShareInternedText) {
+  constexpr int kThreads = 4;
+  constexpr int kCities = 40;
+  struct Outcome {
+    bool ok = false;
+    std::set<std::string> rows;
+    std::vector<Term> values;  // every answer value, as the thread made it
+  };
+  auto run = [](int id, Outcome* out) {
+    for (int round = 0; round < 3; ++round) {
+      LdlSystem sys;
+      std::string text =
+          "reach(X, Y) <- road(X, Y).\n"
+          "reach(X, Y) <- road(X, Z), reach(Z, Y).\n";
+      for (int k = 0; k < kCities; ++k) {
+        StrAppend(&text, "road(city_", k, ", city_", k + 1, ").\n");
+        StrAppend(&text, "road(city_", k, ", \"own_", id, "_", k, "\").\n");
+      }
+      if (!sys.LoadProgram(text).ok()) return;
+      sys.RefreshStatistics();
+      auto answer = sys.Query("reach(city_0, Y)");
+      if (!answer.ok()) return;
+      out->rows = AnswerSet(answer->answers);
+      out->values.clear();
+      for (TupleView t : answer->answers.tuples()) {
+        out->values.push_back(t[1]);
+      }
+    }
+    out->ok = true;
+  };
+  std::vector<Outcome> outcomes(kThreads);
+  std::vector<std::thread> threads;
+  for (int id = 0; id < kThreads; ++id) {
+    threads.emplace_back(run, id, &outcomes[id]);
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::set<std::string> shared_rows;
+  for (int k = 1; k <= kCities; ++k) {
+    shared_rows.insert(StrCat("(city_0, city_", k, ")"));
+  }
+  for (int id = 0; id < kThreads; ++id) {
+    const Outcome& out = outcomes[id];
+    ASSERT_TRUE(out.ok) << "thread " << id;
+    std::set<std::string> expected = shared_rows;
+    for (int k = 0; k < kCities; ++k) {
+      expected.insert(StrCat("(city_0, \"own_", id, "_", k, "\")"));
+    }
+    EXPECT_EQ(out.rows, expected) << "thread " << id;
+    ASSERT_EQ(out.values.size(), expected.size());
+    for (const Term& v : out.values) {
+      const Term here = v.kind() == TermKind::kSymbol
+                            ? Term::MakeSymbol(v.text())
+                            : Term::MakeString(v.text());
+      EXPECT_EQ(v, here) << v;
+      EXPECT_EQ(v.atom(), here.atom()) << v;
+    }
+  }
+  // The shared cities are one atom each across all four threads.
+  for (int id = 1; id < kThreads; ++id) {
+    std::set<const Atom*> a;
+    std::set<const Atom*> b;
+    for (const Term& v : outcomes[0].values) {
+      if (v.kind() == TermKind::kSymbol) a.insert(v.atom());
+    }
+    for (const Term& v : outcomes[id].values) {
+      if (v.kind() == TermKind::kSymbol) b.insert(v.atom());
+    }
+    EXPECT_EQ(a.size(), static_cast<size_t>(kCities));
+    EXPECT_EQ(a, b) << "thread " << id;
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace ldl {
 namespace {
@@ -98,6 +101,78 @@ TEST(TermTest, PrintingForms) {
   EXPECT_EQ(Term::MakeFunction("f", {Term::MakeVariable("X")}).ToString(),
             "f(X)");
   EXPECT_EQ(Term::MakeList({}).ToString(), "[]");
+}
+
+TEST(TermTest, ValuesAreSixteenBytesAndShareFunctionNodes) {
+  static_assert(sizeof(Term) == 16);
+  const Term f = Term::MakeFunction("f", {Term::MakeInt(1), Term::MakeSymbol("a")});
+  Term copy = f;
+  EXPECT_EQ(copy.args().data(), f.args().data());  // one node, shared
+  Term moved = std::move(copy);
+  EXPECT_EQ(moved, f);
+  EXPECT_EQ(moved.args().data(), f.args().data());
+  // Equal texts are one atom, whatever the kind of term that holds them.
+  EXPECT_EQ(Term::MakeSymbol("austin").atom(),
+            Term::MakeString("austin").atom());
+  EXPECT_EQ(Term::MakeVariable("f").atom(), f.atom());
+  EXPECT_NE(Term::MakeSymbol("austin"), Term::MakeString("austin"));
+  EXPECT_EQ(Term::MakeInt(7).atom(), nullptr);
+  EXPECT_EQ(Term::MakeInt(7).text(), "");
+  EXPECT_EQ(f.WithArgs({Term::MakeInt(2)}).ToString(), "f(2)");
+}
+
+// Comparing two equal lists descends each cons cell once: the term order
+// is a three-way comparison, so 20,000 equal elements take linear time.
+TEST(TermTest, OrderOnLongEqualListsIsLinear) {
+  std::vector<Term> items;
+  for (int64_t i = 0; i < 20000; ++i) items.push_back(Term::MakeInt(i));
+  const Term a = Term::MakeList(items);
+  const Term b = Term::MakeList(items);
+  EXPECT_FALSE(a < b);
+  EXPECT_FALSE(b < a);
+  EXPECT_EQ(a, b);
+  items.back() = Term::MakeInt(-1);
+  const Term c = Term::MakeList(items);
+  EXPECT_TRUE(c < a);
+  EXPECT_FALSE(a < c);
+}
+
+// The atom table is shared by every thread of the process. Threads that
+// intern overlapping texts concurrently, while the table grows, must all
+// get the same atom for the same text.
+TEST(AtomTableTest, ConcurrentInterningAgreesAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kTexts = 3000;
+  std::vector<std::vector<const Atom*>> shared(kThreads);
+  std::vector<std::vector<const Atom*>> own(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &shared, &own] {
+      for (int k = 0; k < kTexts; ++k) {
+        // Walk the shared texts in a different order on each thread.
+        const int s = t % 2 == 0 ? k : kTexts - 1 - k;
+        shared[t].push_back(
+            Term::MakeSymbol("atom_test_shared_" + std::to_string(s)).atom());
+        own[t].push_back(InternAtom("atom_test_own_" + std::to_string(t) +
+                                    "_" + std::to_string(k)));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kTexts; ++k) {
+      const int s = t % 2 == 0 ? k : kTexts - 1 - k;
+      const std::string text = "atom_test_shared_" + std::to_string(s);
+      ASSERT_EQ(shared[t][k], InternAtom(text)) << text;
+      ASSERT_EQ(shared[t][k]->text, text);
+      ASSERT_EQ(own[t][k]->text, "atom_test_own_" + std::to_string(t) + "_" +
+                                     std::to_string(k));
+    }
+  }
+  std::set<const Atom*> distinct;
+  for (const auto& atoms : own) distinct.insert(atoms.begin(), atoms.end());
+  for (const auto& atoms : shared) distinct.insert(atoms.begin(), atoms.end());
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kThreads * kTexts + kTexts));
 }
 
 }  // namespace

@@ -14,7 +14,8 @@
 // Each bench binary writes BENCH_<name>.json via bench_util's JsonSink:
 // {"bench":..., "experiments":[{"id",...,"tables":[{"headers":[...],
 // "rows":[[...]]}]}]}. Time-like columns are those whose header mentions
-// "ms" or "time"; rows are matched positionally and must agree on their
+// "ms" or "time" or starts with "ns/" (a per-unit time such as
+// "ns/examined"); rows are matched positionally and must agree on their
 // first (label) cell — a reshaped table is reported as skipped, not failed,
 // so adding a workload does not masquerade as a regression.
 //
@@ -88,7 +89,7 @@ std::string Lower(std::string s) {
 bool TimeLikeHeader(const std::string& header) {
   std::string h = Lower(header);
   return h.find("ms") != std::string::npos ||
-         h.find("time") != std::string::npos;
+         h.find("time") != std::string::npos || h.rfind("ns/", 0) == 0;
 }
 
 bool WorkHeader(const std::string& header) {
