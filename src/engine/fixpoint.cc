@@ -72,10 +72,9 @@ class ProgramEvaluator {
       bool recursive = graph.IsRecursive(component[0]);
       if (!recursive) {
         LDL_RETURN_NOT_OK(EvaluateOnce(component[0]));
-      } else if (method_ == RecursionMethod::kNaive) {
-        LDL_RETURN_NOT_OK(EvaluateCliqueNaive(component, graph));
       } else {
-        LDL_RETURN_NOT_OK(EvaluateCliqueSemiNaive(component, graph));
+        LDL_RETURN_NOT_OK(EvaluateClique(
+            component, graph, method_ == RecursionMethod::kNaive));
       }
     }
     return Status::OK();
@@ -92,11 +91,11 @@ class ProgramEvaluator {
     return [this](const Literal& lit, size_t) { return Resolve(lit); };
   }
 
-  /// Fires rule `rule_index` once into `out`. The rule is compiled for its
-  /// chosen body order on first use; every later firing in this
-  /// EvaluateProgram call, each round and each delta occurrence, reuses it.
-  Status Fire(size_t rule_index, const RelationResolver& resolve,
-              Relation* out) {
+  /// Fires rule `rule_index` once, inserting its head rows straight into
+  /// the head's full scratch relation. The rule is compiled for its chosen
+  /// body order on first use; every later firing in this EvaluateProgram
+  /// call, each round and each delta occurrence, reuses it.
+  Status Fire(size_t rule_index, const RelationResolver& resolve) {
     auto it = compiled_.find(rule_index);
     if (it == compiled_.end()) {
       auto order = options_.rule_orders.find(rule_index);
@@ -112,15 +111,18 @@ class ProgramEvaluator {
     opts.max_derivations = options_.max_derivations;
     opts.cancel = options_.trace.cancel;
     opts.accountant = options_.trace.accountant;
+    Relation* out =
+        scratch_->GetOrCreate(program_.rules()[rule_index].head().predicate());
     return EvaluateRule(it->second, resolve, out, &stats_->counters, opts)
         .status();
   }
 
-  /// Transient per-round relations (deltas, rule temporaries) count against
-  /// the query's byte budget too — they are where a blow-up shows up first.
-  void Attach(Relation* rel) const {
-    if (options_.trace.accountant != nullptr) {
-      rel->set_accountant(options_.trace.accountant);
+  /// Row counts of the members' scratch relations, in member order.
+  void Sizes(const std::vector<PredicateId>& members,
+             std::vector<size_t>* out) const {
+    out->clear();
+    for (const PredicateId& pred : members) {
+      out->push_back(scratch_->Find(pred)->size());
     }
   }
 
@@ -164,176 +166,123 @@ class ProgramEvaluator {
     Span span = options_.trace.StartSpan("eval-once", "engine");
     if (span.active()) span.AddArg("predicate", pred.ToString());
     LDL_RETURN_NOT_OK(options_.trace.CheckCancel());
-    Relation* out = scratch_->GetOrCreate(pred);
     RelationResolver resolve = MakeResolver();
     for (size_t rule_index : program_.RulesFor(pred)) {
-      LDL_RETURN_NOT_OK(Fire(rule_index, resolve, out));
+      LDL_RETURN_NOT_OK(Fire(rule_index, resolve));
     }
     return Status::OK();
   }
 
-  // Naive fixpoint: every round re-fires every rule of the clique against
-  // the full current relations, until a round adds nothing.
-  Status EvaluateCliqueNaive(const std::vector<PredicateId>& members,
-                             const DependencyGraph& graph) {
+  // Fixpoint of one recursive clique. Every firing inserts straight into
+  // the members' full relations. Those are append-only, so what a firing
+  // reads of a member is a row window of its relation.
+  //
+  // Naive: every round fires every rule of the clique, and every clique
+  // read sees the members as they stood when the round started, until a
+  // round adds nothing.
+  //
+  // Semi-naive: the exit rules fire once. Then each round fires each
+  // recursive rule once per occurrence of a clique member in its body:
+  // that occurrence reads the rows the previous round added, and every
+  // other clique read sees the member as it stood when the firing started.
+  Status EvaluateClique(const std::vector<PredicateId>& members,
+                        const DependencyGraph& graph, bool naive) {
     const RecursiveClique& clique =
         graph.cliques()[graph.CliqueIndex(members[0])];
+    const std::string_view discipline = naive ? "naive" : "seminaive";
     Span span = options_.trace.StartSpan("fixpoint", "engine");
     if (span.active()) {
       span.AddArg("clique", members[0].ToString());
-      span.AddArg("method", "naive");
+      span.AddArg("method", discipline);
     }
-    RelationResolver resolve = MakeResolver();
-    std::vector<size_t> all_rules = clique.exit_rules;
-    all_rules.insert(all_rules.end(), clique.recursive_rules.begin(),
-                     clique.recursive_rules.end());
+    auto member_of = [&members](const Literal& lit) -> int {
+      if (lit.IsBuiltin() || lit.negated()) return -1;
+      auto it = std::find(members.begin(), members.end(), lit.predicate());
+      return it == members.end() ? -1 : static_cast<int>(it - members.begin());
+    };
+    // Member m's rows [delta_begin[m], delta_end[m]) are the ones the
+    // previous round added; delta_end holds the sizes at round start.
+    std::vector<size_t> delta_begin;
+    std::vector<size_t> delta_end;
+    std::vector<size_t> firing_start;
+    constexpr size_t kNoDelta = static_cast<size_t>(-1);
+    auto fire = [&](size_t rule_index, size_t delta_pos) -> Status {
+      if (!naive) Sizes(members, &firing_start);
+      const std::vector<size_t>& seen = naive ? delta_end : firing_start;
+      return Fire(rule_index,
+                  [&](const Literal& lit, size_t body_pos) -> RowWindow {
+                    const int m = member_of(lit);
+                    if (m < 0) return Resolve(lit);
+                    Relation* rel = scratch_->Find(members[m]);
+                    if (body_pos == delta_pos) {
+                      return RowWindow(rel, delta_begin[m], delta_end[m]);
+                    }
+                    return RowWindow(rel, 0, seen[m]);
+                  });
+    };
+
+    // Naive fires the exit rules in every round, semi-naive once up front.
+    std::vector<size_t> round_rules = clique.recursive_rules;
+    if (naive) {
+      round_rules.insert(round_rules.begin(), clique.exit_rules.begin(),
+                         clique.exit_rules.end());
+    }
+    Sizes(members, &delta_begin);
+    if (!naive) {
+      for (size_t rule_index : clique.exit_rules) {
+        LDL_RETURN_NOT_OK(fire(rule_index, kNoDelta));
+      }
+    }
+    Sizes(members, &delta_end);
     size_t round = 0;
     while (true) {
       if (++round > options_.max_iterations) {
         return Status::ResourceExhausted(
-            StrCat("naive fixpoint exceeded ", options_.max_iterations,
+            StrCat(discipline, " fixpoint exceeded ", options_.max_iterations,
                    " iterations for ", clique.ToString()));
       }
       stats_->iterations++;
       LDL_RETURN_NOT_OK(RoundCheckpoint());
+      // Semi-naive stops on an empty delta without firing a rule, so its
+      // per_iteration holds iterations - 1 entries. Every naive round does
+      // full-rule work, the final convergence round included, and is
+      // recorded.
+      if (!naive && delta_begin == delta_end) break;
       const size_t deriv_before = stats_->counters.derivations;
       std::chrono::steady_clock::time_point round_start;
       if (options_.record_iterations) {
         round_start = std::chrono::steady_clock::now();
       }
-      // Round-based: evaluate all rules into per-predicate temporaries,
-      // then merge, so each round sees exactly the previous round's state.
-      std::unordered_map<PredicateId, Relation, PredicateIdHash> temp;
-      for (const PredicateId& pred : members) {
-        Attach(&temp.emplace(pred, Relation(pred.name, pred.arity))
-                    .first->second);
+      for (size_t rule_index : round_rules) {
+        const std::vector<Literal>& body = program_.rules()[rule_index].body();
+        if (naive) {
+          LDL_RETURN_NOT_OK(fire(rule_index, kNoDelta));
+          continue;
+        }
+        // One differentiated firing per clique-member occurrence.
+        for (size_t occ = 0; occ < body.size(); ++occ) {
+          if (member_of(body[occ]) >= 0) {
+            LDL_RETURN_NOT_OK(fire(rule_index, occ));
+          }
+        }
       }
-      for (size_t rule_index : all_rules) {
-        const Rule& rule = program_.rules()[rule_index];
-        LDL_RETURN_NOT_OK(
-            Fire(rule_index, resolve, &temp.at(rule.head().predicate())));
-      }
+      delta_begin = std::move(delta_end);
+      Sizes(members, &delta_end);
       size_t added = 0;
-      for (const PredicateId& pred : members) {
-        added += scratch_->GetOrCreate(pred)->MergeFrom(
-            std::move(temp.at(pred)), nullptr);
+      for (size_t m = 0; m < members.size(); ++m) {
+        added += delta_end[m] - delta_begin[m];
       }
       options_.trace.Count("engine.fixpoint.rounds");
       options_.trace.Observe("engine.fixpoint.delta_tuples",
                              static_cast<double>(added));
       if (options_.record_iterations) {
-        // Every naive round does full-rule work, including the final
-        // added == 0 convergence round — record them all.
-        RecordIteration(members[0], MethodLabel("naive"), round, added,
+        RecordIteration(members[0], MethodLabel(discipline), round, added,
                         stats_->counters.derivations - deriv_before,
                         std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - round_start)
                             .count());
       }
-      if (added == 0) break;
-    }
-    if (span.active()) span.AddArg("rounds", std::to_string(round));
-    return Status::OK();
-  }
-
-  // Semi-naive fixpoint: exit rules once; then each round fires each
-  // recursive rule once per occurrence of a clique predicate in its body,
-  // with that occurrence reading the previous round's delta.
-  Status EvaluateCliqueSemiNaive(const std::vector<PredicateId>& members,
-                                 const DependencyGraph& graph) {
-    const RecursiveClique& clique =
-        graph.cliques()[graph.CliqueIndex(members[0])];
-    Span span = options_.trace.StartSpan("fixpoint", "engine");
-    if (span.active()) {
-      span.AddArg("clique", members[0].ToString());
-      span.AddArg("method", "seminaive");
-    }
-
-    auto in_clique = [&clique](const Literal& lit) {
-      return !lit.IsBuiltin() && !lit.negated() &&
-             clique.Contains(lit.predicate());
-    };
-
-    std::unordered_map<PredicateId, Relation, PredicateIdHash> delta;
-    for (const PredicateId& pred : members) {
-      Attach(&delta.emplace(pred, Relation(pred.name, pred.arity))
-                  .first->second);
-    }
-
-    // Seed with the exit rules.
-    RelationResolver resolve = MakeResolver();
-    for (size_t rule_index : clique.exit_rules) {
-      const Rule& rule = program_.rules()[rule_index];
-      Relation temp(rule.head().predicate().name, rule.head().arity());
-      Attach(&temp);
-      LDL_RETURN_NOT_OK(Fire(rule_index, resolve, &temp));
-      scratch_->GetOrCreate(rule.head().predicate())
-          ->MergeFrom(std::move(temp), &delta.at(rule.head().predicate()));
-    }
-
-    size_t round = 0;
-    while (true) {
-      if (++round > options_.max_iterations) {
-        return Status::ResourceExhausted(
-            StrCat("seminaive fixpoint exceeded ", options_.max_iterations,
-                   " iterations for ", clique.ToString()));
-      }
-      stats_->iterations++;
-      LDL_RETURN_NOT_OK(RoundCheckpoint());
-      bool any_delta = std::any_of(
-          members.begin(), members.end(),
-          [&delta](const PredicateId& p) { return !delta.at(p).empty(); });
-      if (!any_delta) break;
-      // Work rounds only: the final empty-delta round breaks above without
-      // firing a rule, so per_iteration holds iterations - 1 entries.
-      const size_t deriv_before = stats_->counters.derivations;
-      std::chrono::steady_clock::time_point round_start;
-      if (options_.record_iterations) {
-        round_start = std::chrono::steady_clock::now();
-      }
-
-      std::unordered_map<PredicateId, Relation, PredicateIdHash> new_delta;
-      for (const PredicateId& pred : members) {
-        Attach(&new_delta.emplace(pred, Relation(pred.name, pred.arity))
-                    .first->second);
-      }
-
-      for (size_t rule_index : clique.recursive_rules) {
-        const Rule& rule = program_.rules()[rule_index];
-        // One differentiated firing per clique-predicate occurrence.
-        for (size_t occ = 0; occ < rule.body().size(); ++occ) {
-          if (!in_clique(rule.body()[occ])) continue;
-          RelationResolver diff_resolve =
-              [this, &delta, &in_clique, occ](const Literal& lit,
-                                              size_t body_pos) -> Relation* {
-            if (body_pos == occ && in_clique(lit)) {
-              return &delta.at(lit.predicate());
-            }
-            return Resolve(lit);
-          };
-          Relation temp(rule.head().predicate().name, rule.head().arity());
-          Attach(&temp);
-          LDL_RETURN_NOT_OK(Fire(rule_index, diff_resolve, &temp));
-          scratch_->GetOrCreate(rule.head().predicate())
-              ->MergeFrom(std::move(temp),
-                          &new_delta.at(rule.head().predicate()));
-        }
-      }
-      delta = std::move(new_delta);
-      if (options_.trace.metrics != nullptr || options_.record_iterations) {
-        size_t added = 0;
-        for (const PredicateId& pred : members) added += delta.at(pred).size();
-        options_.trace.Count("engine.fixpoint.rounds");
-        options_.trace.Observe("engine.fixpoint.delta_tuples",
-                               static_cast<double>(added));
-        if (options_.record_iterations) {
-          RecordIteration(members[0], MethodLabel("seminaive"), round, added,
-                          stats_->counters.derivations - deriv_before,
-                          std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - round_start)
-                              .count());
-        }
-      }
+      if (naive && added == 0) break;
     }
     if (span.active()) span.AddArg("rounds", std::to_string(round));
     return Status::OK();

@@ -71,6 +71,19 @@ std::string AnswerFingerprint(const Relation& answers) {
 
 namespace {
 
+/// True iff every argument of `goal` is a variable and no two are the same
+/// one, so the goal matches every row of its relation.
+bool SelectsEveryRow(const Literal& goal) {
+  for (size_t i = 0; i < goal.arity(); ++i) {
+    const Term& a = goal.args()[i];
+    if (!a.IsVariable()) return false;
+    for (size_t j = 0; j < i; ++j) {
+      if (goal.args()[j] == a) return false;
+    }
+  }
+  return true;
+}
+
 Result<QueryResult> EvaluateFull(const Program& program, Database* base,
                                  const Literal& goal, RecursionMethod method,
                                  const QueryEvalOptions& options) {
@@ -93,7 +106,6 @@ Result<QueryResult> EvaluateFull(const Program& program, Database* base,
   scratch.set_accountant(fixpoint.trace.accountant);
   LDL_RETURN_NOT_OK(EvaluateProgram(sub, method, base, &scratch,
                                     &result.stats, fixpoint));
-  result.answers = SelectMatching(scratch.Find(goal.predicate()), goal);
   // The full bottom-up methods compute every reachable derived predicate in
   // its entirety, so the scratch relation sizes are true all-free
   // cardinalities — exactly what the feedback statistics catalog wants.
@@ -102,6 +114,15 @@ Result<QueryResult> EvaluateFull(const Program& program, Database* base,
     const Relation* rel = scratch.Find(pred);
     result.derived_sizes.emplace_back(pred,
                                       static_cast<uint64_t>(rel->size()));
+  }
+  Relation* full = scratch.Find(goal.predicate());
+  if (full != nullptr && SelectsEveryRow(goal)) {
+    // The answers are the whole relation: take it instead of copying it,
+    // and detach it from the query's accountant, which it outlives.
+    result.answers = std::move(*full);
+    result.answers.set_accountant(nullptr);
+  } else {
+    result.answers = SelectMatching(full, goal);
   }
   return result;
 }

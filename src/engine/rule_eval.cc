@@ -1,5 +1,7 @@
 #include "engine/rule_eval.h"
 
+#include <algorithm>
+
 #include "base/strings.h"
 #include "engine/builtins.h"
 #include "engine/unify.h"
@@ -353,7 +355,7 @@ class RuleEvaluator {
         keys_(body.steps.size()),
         head_(body.head.size()),
         copies_(body.steps.size()),
-        resolved_(body.steps.size(), nullptr),
+        resolved_(body.steps.size()),
         indexes_(body.steps.size(), nullptr),
         resolved_done_(body.steps.size(), false) {
     for (size_t d = 0; d < body.steps.size(); ++d) {
@@ -400,16 +402,16 @@ class RuleEvaluator {
     since_check_ = 0;
   }
 
-  /// The plain resolver's relation for position `depth`, asked once, and
+  /// The plain resolver's window for position `depth`, asked once, and
   /// the handle of its index on the position's key columns.
-  Relation* Resolved(size_t depth) {
+  const RowWindow& Resolved(size_t depth) {
     if (!resolved_done_[depth]) {
       const CompiledStep& step = body_.steps[depth];
-      Relation* rel = resolve_(*step.lit, step.body_pos);
-      resolved_[depth] = rel;
-      if (rel != nullptr && step.kind == StepKind::kPositive &&
+      const RowWindow window = resolve_(*step.lit, step.body_pos);
+      resolved_[depth] = window;
+      if (window.rel != nullptr && step.kind == StepKind::kPositive &&
           !step.probe.key_cols.empty()) {
-        indexes_[depth] = &rel->IndexOn(step.probe.key_cols);
+        indexes_[depth] = &window.rel->IndexOn(step.probe.key_cols);
       }
       resolved_done_[depth] = true;
     }
@@ -528,7 +530,7 @@ class RuleEvaluator {
                                    " has unbound variables in rule ",
                                    body_.rule->ToString()));
     }
-    Relation* rel = Resolved(depth);
+    Relation* rel = Resolved(depth).rel;
     LDL_RETURN_NOT_OK(CountExamined());
     Tuple& key = keys_[depth];
     for (size_t i = 0; i < step.args.size(); ++i) {
@@ -545,21 +547,23 @@ class RuleEvaluator {
   }
 
   Status StepPositive(const CompiledStep& step, size_t depth) {
-    Relation* rel = nullptr;
+    RowWindow window;
     if (options_.pattern_resolver) {
       std::vector<Term> patterns;
       patterns.reserve(step.args.size());
       for (const TermCode& a : step.args) {
         patterns.push_back(Instantiate(a, slots_));
       }
-      rel = options_.pattern_resolver(*step.lit, step.body_pos, patterns);
+      window.rel =
+          options_.pattern_resolver(*step.lit, step.body_pos, patterns);
     }
-    const bool tabled = rel != nullptr;
+    const bool tabled = window.rel != nullptr;
     Relation::Index* index = nullptr;
-    if (rel == nullptr) {
-      rel = Resolved(depth);
+    if (!tabled) {
+      window = Resolved(depth);
       index = indexes_[depth];
     }
+    Relation* rel = window.rel;
     if (rel == nullptr) return Status::OK();
 
     const ProbeCode& probe = step.probe;
@@ -571,35 +575,41 @@ class RuleEvaluator {
 
     // A stable relation gains no rows while this rule runs, so its posting
     // lists and rows are read in place and slots point into its arena.
-    // Two kinds are not stable: the rule's own sink (direct recursion), and
-    // a tabled relation from the pattern resolver, which deeper probes may
-    // extend. An insert made deeper in the recursion can grow their arena
-    // and posting lists, so the posting list is copied and each row is
-    // copied into this depth's buffer before the slots point into it.
-    if (!tabled && rel != out_) {
-      if (keyed) {
-        for (uint32_t id : rel->Lookup(*index, keys_[depth])) {
-          LDL_RETURN_NOT_OK(TryTuple(step, depth, rel->tuple(id)));
-        }
-        return Status::OK();
-      }
-      for (size_t i = 0, n = rel->size(); i < n; ++i) {
-        LDL_RETURN_NOT_OK(TryTuple(step, depth, rel->tuple(i)));
-      }
-      return Status::OK();
-    }
+    // Two kinds are not stable: the rule's own sink (direct recursion, as
+    // in a fixpoint firing's reads of its head predicate), and a tabled
+    // relation from the pattern resolver, which deeper probes may extend.
+    // An insert made deeper in the recursion can grow their arena and
+    // posting lists, so the posting list is copied and each row is copied
+    // into this depth's buffer before the slots point into it.
+    const bool in_place = !tabled && rel != out_;
     RowCopy& copy = copies_[depth];
-    if (keyed) {
-      const std::span<const uint32_t> ids = rel->Lookup(*index, keys_[depth]);
-      copy.ids.assign(ids.begin(), ids.end());
-      for (uint32_t id : copy.ids) {
-        LDL_RETURN_NOT_OK(TryTuple(step, depth, copy.Take(rel->tuple(id))));
+    auto try_row = [&](size_t id) {
+      const TupleView row = rel->tuple(id);
+      return TryTuple(step, depth, in_place ? row : copy.Take(row));
+    };
+    // Only rows inside the window are read: a scan stops at its end as of
+    // now, and a posting list (ascending row ids) is clipped to it.
+    const size_t end = std::min(window.end, rel->size());
+    if (!keyed) {
+      for (size_t i = window.begin; i < end; ++i) {
+        LDL_RETURN_NOT_OK(try_row(i));
       }
       return Status::OK();
     }
-    for (size_t i = 0, n = rel->size(); i < n; ++i) {
-      LDL_RETURN_NOT_OK(TryTuple(step, depth, copy.Take(rel->tuple(i))));
+    std::span<const uint32_t> ids = rel->Lookup(*index, keys_[depth]);
+    if (!ids.empty() && ids.front() < window.begin) {
+      ids = ids.subspan(std::lower_bound(ids.begin(), ids.end(),
+                                         window.begin) - ids.begin());
     }
+    if (!ids.empty() && ids.back() >= end) {
+      ids = ids.first(std::lower_bound(ids.begin(), ids.end(), end) -
+                      ids.begin());
+    }
+    if (!in_place) {
+      copy.ids.assign(ids.begin(), ids.end());
+      ids = copy.ids;
+    }
+    for (uint32_t id : ids) LDL_RETURN_NOT_OK(try_row(id));
     return Status::OK();
   }
 
@@ -623,7 +633,7 @@ class RuleEvaluator {
   std::vector<Tuple> keys_;  ///< per position: index or negation key
   Tuple head_;               ///< the head row being emitted
   std::vector<RowCopy> copies_;  ///< per position
-  std::vector<Relation*> resolved_;
+  std::vector<RowWindow> resolved_;
   /// Per resolved position: the handle of its index, looked up once.
   std::vector<Relation::Index*> indexes_;
   std::vector<bool> resolved_done_;

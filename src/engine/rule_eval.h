@@ -20,7 +20,7 @@ namespace ldl {
 struct EvalCounters {
   size_t tuples_examined = 0;  ///< tuples touched during joins/lookups
   size_t derivations = 0;      ///< head tuples produced (before dedup)
-  size_t inserts = 0;          ///< head tuples that were new
+  size_t inserts = 0;          ///< rows new to the target relation
   size_t rule_firings = 0;     ///< rule evaluations started
 
   void Add(const EvalCounters& other);
@@ -32,12 +32,30 @@ struct EvalCounters {
   void ExportTo(MetricsRegistry* metrics) const;
 };
 
-/// Maps a body literal occurrence to the relation to read. Lets semi-naive
-/// evaluation substitute delta relations for specific occurrences, and the
-/// magic rewrite look up freshly created predicates. Returning nullptr means
-/// "empty relation".
+/// The rows of `rel` a body literal reads: those with ids in [begin, end).
+/// Relations are append-only, so a window whose end is fixed before a rule
+/// firing keeps out the rows that firing adds, and the rows one fixpoint
+/// round added are a window of the full relation. The default window reads
+/// the relation as it grows: a scan or probe sees every row present when
+/// it starts. A null `rel` reads as empty. Negated literals test the whole
+/// relation.
+struct RowWindow {
+  static constexpr size_t kOpen = static_cast<size_t>(-1);
+
+  RowWindow(Relation* rel = nullptr, size_t begin = 0, size_t end = kOpen)
+      : rel(rel), begin(begin), end(end) {}
+
+  Relation* rel;
+  size_t begin;
+  size_t end;
+};
+
+/// Maps a body literal occurrence to the rows to read. Lets semi-naive
+/// evaluation read the previous round's rows at specific occurrences, and
+/// the magic rewrite look up freshly created predicates. A Relation*
+/// converts to its default window.
 using RelationResolver =
-    std::function<Relation*(const Literal& lit, size_t body_pos)>;
+    std::function<RowWindow(const Literal& lit, size_t body_pos)>;
 
 /// A binding-aware resolver: receives the literal's arguments instantiated
 /// under the current bindings (ground where bound; unbound variables stay
@@ -109,10 +127,11 @@ class CompiledRule {
 /// argument positions (compared with Term::operator==); the remaining
 /// columns unify with the stored values, so a repeated variable or a
 /// bound variable inside a function term equates 1 and 1.0. Each body
-/// position's relation is resolved at most once per call, when first
-/// reached; a pattern resolver is asked on every probe. Builtins are
-/// computed inline; a kNotComputable builtin aborts with kUnsafe (the
-/// optimizer is responsible for choosing orders where this cannot happen).
+/// position's window is resolved at most once per call, when first
+/// reached, and only its rows count as examined; a pattern resolver is
+/// asked on every probe. Builtins are computed inline; a kNotComputable
+/// builtin aborts with kUnsafe (the optimizer is responsible for choosing
+/// orders where this cannot happen).
 /// Negated literals require all their variables bound and test for
 /// absence. Arithmetic is folded in the head and in builtins only: a body
 /// literal's `X + 1` is a constructor term.

@@ -46,7 +46,7 @@ struct QueryLogRecord {
   // --- resource profile ---
   uint64_t peak_bytes = 0;       ///< peak derived-storage bytes
   uint64_t tuples_examined = 0;
-  uint64_t tuples_derived = 0;
+  uint64_t tuples_derived = 0;   ///< rows new to the relation written
   uint64_t fixpoint_rounds = 0;
   uint64_t rule_firings = 0;
   uint64_t cancel_checks = 0;    ///< cooperative check-points hit

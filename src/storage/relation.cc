@@ -75,14 +75,9 @@ void Relation::set_accountant(ResourceAccountant* accountant) {
   }
 }
 
-void Relation::AppendRow(const Term* t, bool move) {
+void Relation::AppendRow(const Term* t) {
   // `t` never points into this arena: a stored row is never new to it.
-  if (move) {
-    Term* src = const_cast<Term*>(t);
-    for (size_t c = 0; c < arity_; ++c) cells_.push_back(std::move(src[c]));
-  } else {
-    for (size_t c = 0; c < arity_; ++c) cells_.push_back(t[c]);
-  }
+  for (size_t c = 0; c < arity_; ++c) cells_.push_back(t[c]);
   ++rows_;
 }
 
@@ -99,7 +94,7 @@ bool Relation::InsertHashed(TupleView t, size_t hash) {
   if (accountant_ != nullptr) {
     ChargeDelta(ApproxTupleBytes(t) + kDedupEntryBytes, 0);
   }
-  AppendRow(t.data(), false);
+  AppendRow(t.data());
   return true;
 }
 
@@ -112,28 +107,6 @@ size_t Relation::InsertAll(const Relation& other) {
   return added;
 }
 
-size_t Relation::MergeFrom(Relation&& src, Relation* delta) {
-  assert(delta != this && "MergeFrom cannot use the target as its delta");
-  if (&src == this) return 0;
-  assert(src.arity_ == arity_ && "MergeFrom arity mismatch");
-  size_t added = 0;
-  for (size_t i = 0; i < src.size(); ++i) {
-    const size_t hash = src.tuple_hash(i);
-    const TupleView row = src.tuple(i);
-    if (!dedup_.Insert(hash, [&](uint32_t id) { return tuple(id) == row; })) {
-      continue;
-    }
-    if (accountant_ != nullptr) {
-      ChargeDelta(ApproxTupleBytes(row) + kDedupEntryBytes, 0);
-    }
-    AppendRow(row.data(), true);
-    if (delta != nullptr) delta->AppendUnchecked(tuple(rows_ - 1), hash);
-    ++added;
-  }
-  src.DropRows();
-  return added;
-}
-
 void Relation::AppendUnchecked(TupleView t, size_t hash) {
   assert(t.size() == arity_ && "tuple arity mismatch");
   assert(!ContainsHashed(t, hash) && "AppendUnchecked requires a new tuple");
@@ -141,7 +114,7 @@ void Relation::AppendUnchecked(TupleView t, size_t hash) {
   if (accountant_ != nullptr) {
     ChargeDelta(ApproxTupleBytes(t) + kDedupEntryBytes, 0);
   }
-  AppendRow(t.data(), false);
+  AppendRow(t.data());
 }
 
 bool Relation::Contains(TupleView t) const {

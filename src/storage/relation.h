@@ -173,21 +173,9 @@ class Relation {
   /// itself adds nothing and returns 0.
   size_t InsertAll(const Relation& other);
 
-  /// Moves every tuple of `src` that is new to this relation into it, in
-  /// src order and reusing src's cached hashes, and appends a copy of each
-  /// to `delta` when non-null. The delta append skips the dedup probe: a
-  /// delta that only ever receives this relation's new tuples cannot
-  /// already hold one. `src` is left empty but keeps its byte charge until
-  /// it is cleared or destroyed, exactly as if its tuples had been copied.
-  /// Returns the number of new tuples. Merging a relation into itself
-  /// adds nothing, leaves it as it was and returns 0; `delta` must not be
-  /// this relation.
-  size_t MergeFrom(Relation&& src, Relation* delta);
-
   /// Appends a tuple the caller guarantees is NOT already present, with its
-  /// precomputed TupleHash. The fast path of the fixpoint merges: novelty
-  /// was already proven (by a MergeFrom into the full relation), so only
-  /// the slot append remains.
+  /// precomputed TupleHash: the fast path for copying rows out of a
+  /// relation that already proved them distinct, e.g. a selection.
   void AppendUnchecked(TupleView t, size_t hash);
 
   bool Contains(TupleView t) const;
@@ -226,8 +214,8 @@ class Relation {
   std::string ToString(size_t max_tuples = 20) const;
 
  private:
-  /// Appends row `t` to the arena, moving its terms when `move`.
-  void AppendRow(const Term* t, bool move);
+  /// Appends a copy of row `t` to the arena.
+  void AppendRow(const Term* t);
   void ExtendIndex(Index* index);
   /// Empties rows, dedup set and indexes without touching the charge.
   void DropRows() {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "ast/parser.h"
 #include "base/strings.h"
@@ -399,6 +400,78 @@ TEST(QueryEvalTest, ReachableSubprogramPrunesUnrelatedRules) {
   EXPECT_TRUE(sub.IsDerived({"c", 1}));
   EXPECT_TRUE(sub.IsDerived({"a", 1}));
   EXPECT_FALSE(sub.IsDerived({"b", 1}));
+}
+
+constexpr const char* kTcRules = R"(
+  tc(X, Y) <- edge(X, Y).
+  tc(X, Y) <- edge(X, Z), tc(Z, Y).
+)";
+
+// A cycle 0 -> 1 -> 2 -> 0 with a tail 2 -> 3 -> 4.
+void AddCycleWithTail(Database* db) {
+  Relation* edge = db->GetOrCreate({"edge", 2});
+  for (auto [a, b] : {std::pair<int64_t, int64_t>{0, 1}, {1, 2}, {2, 0},
+                      {2, 3}, {3, 4}}) {
+    edge->Insert({Term::MakeInt(a), Term::MakeInt(b)});
+  }
+}
+
+// The full methods hand an all-free goal the scratch relation itself. Under
+// a byte budget that relation was charged to the query's accountant; the
+// answers must leave it detached, so the accountant drops back to zero and
+// the answers can outlive it (under ASan a relation still attached would
+// touch the freed accountant when it grows or dies).
+TEST(QueryEvalTest, MeteredAllFreeAnswersOutliveTheAccountant) {
+  Program p = P(kTcRules);
+  Database db;
+  AddCycleWithTail(&db);
+  for (RecursionMethod method :
+       {RecursionMethod::kNaive, RecursionMethod::kSemiNaive}) {
+    auto accountant = std::make_unique<ResourceAccountant>();
+    ResourceBudget budget;
+    budget.max_bytes = uint64_t{1} << 26;
+    accountant->set_budget(budget);
+    QueryEvalOptions options;
+    options.fixpoint.trace.accountant = accountant.get();
+    auto result = EvaluateQuery(p, &db, L("tc(X, Y)"), method, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_GT(accountant->peak_bytes(), 0u);
+    EXPECT_EQ(accountant->current_bytes(), 0u);
+    Relation answers = std::move(result->answers);
+    EXPECT_EQ(answers.accountant(), nullptr);
+    EXPECT_EQ(answers.charged_bytes(), 0u);
+    accountant.reset();
+
+    // 0, 1 and 2 reach all five nodes, 3 reaches 4.
+    EXPECT_EQ(answers.size(), 16u);
+    EXPECT_EQ(answers.Lookup({0}, {Term::MakeInt(3)}).size(), 1u);
+    EXPECT_TRUE(answers.Insert({Term::MakeInt(4), Term::MakeInt(0)}));
+  }
+}
+
+// Only a goal of pairwise distinct variables takes the whole relation. A
+// repeated variable or a constant still selects, and every goal's answers
+// equal the selection over the full fixpoint.
+TEST(QueryEvalTest, GoalsThatRestrictStillSelect) {
+  Program p = P(kTcRules);
+  Database db;
+  AddCycleWithTail(&db);
+  auto all = EvaluateQuery(p, &db, L("tc(X, Y)"), RecursionMethod::kSemiNaive);
+  ASSERT_TRUE(all.ok()) << all.status();
+  for (const char* goal : {"tc(X, X)", "tc(2, Y)", "tc(X, 4)", "tc(1, 0)",
+                           "tc(X, Y)"}) {
+    const Relation expected = SelectMatching(&all->answers, L(goal));
+    for (RecursionMethod method :
+         {RecursionMethod::kNaive, RecursionMethod::kSemiNaive}) {
+      auto result = EvaluateQuery(p, &db, L(goal), method);
+      ASSERT_TRUE(result.ok()) << goal << ": " << result.status();
+      EXPECT_EQ(Sorted(result->answers), Sorted(expected)) << goal;
+      EXPECT_EQ(result->answers.name(),
+                std::string(goal) == "tc(X, Y)" ? "tc" : "answers")
+          << goal;
+    }
+  }
+  EXPECT_EQ(SelectMatching(&all->answers, L("tc(X, X)")).size(), 3u);
 }
 
 // A rule whose sink is also a relation it reads (direct recursion through

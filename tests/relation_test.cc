@@ -19,13 +19,6 @@ Tuple Pair(int64_t a, int64_t b) {
   return {Term::MakeInt(a), Term::MakeInt(b)};
 }
 
-/// Owned copies of every row, in row id order.
-std::vector<Tuple> AllRows(const Relation& r) {
-  std::vector<Tuple> out;
-  for (TupleView t : r.tuples()) out.push_back(ToTuple(t));
-  return out;
-}
-
 TEST(RelationTest, InsertDeduplicates) {
   Relation r("edge", 2);
   EXPECT_TRUE(r.Insert(Pair(1, 2)));
@@ -220,34 +213,6 @@ TEST(RelationTest, AccountantChargesBalanceAcrossClearCopyMove) {
   EXPECT_EQ(acct.current_bytes(), 0u);
 }
 
-TEST(RelationTest, MergeFromMovesNewTuplesAndFillsDelta) {
-  ResourceAccountant acct;
-  {
-    Relation full("p", 2);
-    Relation delta("p", 2);
-    Relation src("p", 2);
-    for (Relation* rel : {&full, &delta, &src}) rel->set_accountant(&acct);
-    full.Insert(Pair(1, 1));
-    for (int64_t i = 0; i < 4; ++i) src.Insert(Pair(i, i));
-    const uint64_t src_bytes = src.charged_bytes();
-
-    EXPECT_EQ(full.MergeFrom(std::move(src), &delta), 3u);
-    EXPECT_EQ(AllRows(full), (std::vector<Tuple>{Pair(1, 1), Pair(0, 0),
-                                                 Pair(2, 2), Pair(3, 3)}));
-    EXPECT_EQ(AllRows(delta),
-              (std::vector<Tuple>{Pair(0, 0), Pair(2, 2), Pair(3, 3)}));
-    for (size_t i = 0; i < full.size(); ++i) {
-      EXPECT_EQ(full.tuple_hash(i), TupleHash{}(full.tuple(i)));
-    }
-    EXPECT_TRUE(src.empty());  // NOLINT(bugprone-use-after-move)
-    // The drained source keeps its charge until it goes away.
-    EXPECT_EQ(src.charged_bytes(), src_bytes);
-    EXPECT_EQ(acct.current_bytes(), full.charged_bytes() +
-                                        delta.charged_bytes() + src_bytes);
-  }
-  EXPECT_EQ(acct.current_bytes(), 0u);
-}
-
 TEST(RelationTest, ZeroArityRowsLiveWithoutAnArena) {
   Relation r("flag", 0);
   EXPECT_FALSE(r.Contains({}));
@@ -262,16 +227,12 @@ TEST(RelationTest, ZeroArityRowsLiveWithoutAnArena) {
   EXPECT_EQ(TupleToString(r.tuple(0)), "()");
 
   Relation other("flag", 0);
-  Relation delta("flag", 0);
   EXPECT_EQ(other.InsertAll(r), 1u);
   EXPECT_EQ(other.InsertAll(r), 0u);
-  Relation src("flag", 0);
-  src.Insert({});
-  Relation fresh("flag", 0);
-  EXPECT_EQ(fresh.MergeFrom(std::move(src), &delta), 1u);
-  EXPECT_EQ(fresh.size(), 1u);
-  EXPECT_EQ(delta.size(), 1u);
-  EXPECT_TRUE(delta.Contains({}));
+  Relation copy("flag", 0);
+  copy.AppendUnchecked(r.tuple(0), r.tuple_hash(0));
+  EXPECT_EQ(copy.size(), 1u);
+  EXPECT_TRUE(copy.Contains({}));
   r.Clear();
   EXPECT_TRUE(r.empty());
   EXPECT_FALSE(r.Contains({}));
@@ -327,10 +288,7 @@ TEST(RelationTest, MergingOrInsertingARelationIntoItselfAddsNothing) {
   for (int64_t i = 0; i < 40; ++i) r.Insert(Pair(i, i % 3));
   const uint64_t bytes = r.charged_bytes();
   EXPECT_EQ(r.InsertAll(r), 0u);
-  Relation delta("p", 2);
-  EXPECT_EQ(r.MergeFrom(std::move(r), &delta), 0u);  // NOLINT
-  EXPECT_EQ(r.size(), 40u);                          // NOLINT
-  EXPECT_TRUE(delta.empty());
+  EXPECT_EQ(r.size(), 40u);
   EXPECT_EQ(r.charged_bytes(), bytes);
   for (int64_t i = 0; i < 40; ++i) EXPECT_TRUE(r.Contains(Pair(i, i % 3)));
   // A stored row offered back to its own relation is a duplicate.
